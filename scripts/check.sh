@@ -88,6 +88,11 @@ run ./build/bench/crash_matrix --smoke --out build/BENCH_crash_smoke.json
 #     or degraded-coverage recovery breaks.
 run ./build/bench/soak --smoke --out build/BENCH_soak_smoke.json
 
+# 5c. Whole-check benchmark smoke: every workload at its smoke size,
+#     traced and untraced. The benchmark's own oracles gate here: every
+#     metric BENCHMARK.json names is present and no operation failed.
+run python3 perfbench/smoke_test.py
+
 # 6. Kernel-variant smoke: every rank-kernel variant (planned,
 #    +reorder, +SIMD, float32 — DESIGN.md §14) must hold its
 #    bit-identity gate, and the best f64 variant must beat the naive

@@ -36,14 +36,21 @@ struct UnpairedEdge {
 
 class UnifiedGraph {
  public:
-  /// Merges partial graphs in the given order (deterministic GIDs).
-  /// FIDs referenced by edges but scanned on no server become phantom
-  /// vertices. With a pool of ≥ 2 workers, vertices are interned via
-  /// per-thread hash shards merged deterministically by global
-  /// first-seen position and edges are remapped in parallel; the result
-  /// is byte-identical to the serial path for any thread count.
+  /// Merges partial graphs in the given order (deterministic GIDs):
+  /// every partial's vertices are interned first, then every edge's
+  /// endpoints, src before dst, on one thread. FIDs referenced by edges
+  /// but scanned on no server become phantom vertices. The pool, if
+  /// given, parallelizes the paired-edge classification; the result is
+  /// byte-identical for any thread count.
   [[nodiscard]] static UnifiedGraph aggregate(
       std::span<const PartialGraph> partials, ThreadPool* pool = nullptr);
+
+  /// Builds the CSR and pairing analysis over an interned vertex table
+  /// and edges already remapped to its GIDs — the step every graph build
+  /// ends in. Every edge endpoint must be < vertices.size().
+  [[nodiscard]] static UnifiedGraph from_table(VertexTable vertices,
+                                               std::vector<GidEdge> edges,
+                                               ThreadPool* pool = nullptr);
 
   /// Builds directly from a dense edge list (benchmark graphs). All
   /// vertices are considered scanned, kind kOther. The pool, if given,
@@ -60,6 +67,9 @@ class UnifiedGraph {
   }
 
   [[nodiscard]] const VertexTable& vertices() const { return vertices_; }
+  /// Moves the vertex table out, leaving the graph unusable — for
+  /// callers that outlive the graph but still need its FID → GID map.
+  [[nodiscard]] VertexTable take_vertices() && { return std::move(vertices_); }
   [[nodiscard]] const Csr& forward() const { return forward_; }
   [[nodiscard]] const Csr& reverse() const { return reverse_; }
 

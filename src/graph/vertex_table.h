@@ -7,18 +7,22 @@
 // some server or is only known as an edge target (a phantom — the
 // signature of a dangling reference).
 //
-// Thread discipline (DESIGN.md §8): deliberately unsynchronized. The
-// parallel aggregator never interns into a shared VertexTable —
-// each shard thread fills its own private hash shard
-// (unified_graph.cpp), and from_columns() assembles the merged result
-// on one thread. After assembly the table is read-only and may be
-// shared freely. A mutex here would serialize the intern hot path for
-// no correctness gain, so fr_lint's mutex-needs-guards rule has
-// nothing to see — exclusive ownership, not locking, is the protocol.
+// The lookup index is flat and open-addressed: a power-of-two array of
+// GIDs probed linearly from FidHash, with kInvalidGid marking an empty
+// slot. Keys live only in the fids_ column, so a probe compares against
+// fids_[gid]; the index costs 4 bytes per slot and grows by doubling to
+// stay at most half full. Every graph build (offline aggregation, bench
+// graphs, the online checker's freeze) interns through this one path.
+//
+// Thread discipline (DESIGN.md §8): deliberately unsynchronized. A
+// table is filled by the one thread that builds its graph; after the
+// build it is read-only and may be shared freely. A mutex here would
+// serialize the intern hot path for no correctness gain, so fr_lint's
+// mutex-needs-guards rule has nothing to see — exclusive ownership, not
+// locking, is the protocol.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/fid.h"
@@ -28,13 +32,10 @@ namespace faultyrank {
 
 class VertexTable {
  public:
-  /// Pre-sizes the table for `expected` vertices (one rehash, one grow).
-  void reserve(std::size_t expected) {
-    index_.reserve(expected);
-    fids_.reserve(expected);
-    kinds_.reserve(expected);
-    scanned_.reserve(expected);
-  }
+  /// Pre-sizes the table for `expected` vertices, so interning that
+  /// many never rehashes or reallocates.
+  void reserve(std::size_t expected);
+
   /// Interns `fid` as a scanned object of the given kind. If the FID was
   /// previously seen only as an edge target, it is upgraded from phantom.
   Gid intern_scanned(const Fid& fid, ObjectKind kind);
@@ -44,14 +45,6 @@ class VertexTable {
 
   /// Returns the GID for `fid`, or kInvalidGid if never interned.
   [[nodiscard]] Gid lookup(const Fid& fid) const;
-
-  /// Assembles a table whose column arrays were produced elsewhere (the
-  /// parallel aggregator's shard merge): entry i becomes GID i. FIDs
-  /// must be unique; `scanned` holds the saturating scan counts. The
-  /// lookup index is rebuilt here.
-  [[nodiscard]] static VertexTable from_columns(
-      std::vector<Fid> fids, std::vector<ObjectKind> kinds,
-      std::vector<std::uint8_t> scanned);
 
   [[nodiscard]] const Fid& fid_of(Gid gid) const { return fids_[gid]; }
   [[nodiscard]] ObjectKind kind_of(Gid gid) const { return kinds_[gid]; }
@@ -66,12 +59,21 @@ class VertexTable {
 
   [[nodiscard]] std::size_t size() const noexcept { return fids_.size(); }
 
+  /// Heap bytes held: the index plus the three column arrays, by
+  /// capacity.
   [[nodiscard]] std::uint64_t bytes() const noexcept;
 
  private:
-  Gid push_new(const Fid& fid, ObjectKind kind, bool scanned);
+  /// The index slot holding `fid`'s GID, or the empty slot where it
+  /// would be inserted. The index must be non-empty.
+  [[nodiscard]] std::size_t probe(const Fid& fid) const noexcept;
+  /// Appends a new vertex whose probe ended at empty slot `slot`.
+  Gid push_new(std::size_t slot, const Fid& fid, ObjectKind kind,
+               bool scanned);
+  /// Rebuilds the index with `slots` (a power of two) entries.
+  void rehash(std::size_t slots);
 
-  std::unordered_map<Fid, Gid, FidHash> index_;
+  std::vector<Gid> index_;  // kInvalidGid = empty; size 0 or a power of 2
   std::vector<Fid> fids_;
   std::vector<ObjectKind> kinds_;
   std::vector<std::uint8_t> scanned_;  // scan count, saturating at 255

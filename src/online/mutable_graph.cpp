@@ -95,24 +95,29 @@ void MutableMetadataGraph::replace_object(
 }
 
 UnifiedGraph MutableMetadataGraph::freeze(ThreadPool* pool) const {
-  PartialGraph partial;
-  partial.server = "online";
-  partial.vertices.reserve(live_vertices_);
-  partial.edges.reserve(edge_count_);
+  // Interns in the order UnifiedGraph::aggregate would over one partial
+  // holding the live slots: all vertices, then every edge src, dst.
+  VertexTable vertices;
+  vertices.reserve(live_vertices_);
   for (const VertexState& state : slots_) {
     if (!state.live) continue;
-    // One vertex record per observed physical inode: the aggregate's
-    // scan count then matches an offline merge, which is what drives
-    // the detector's duplicate-id (Double Reference) conviction.
+    // One scan per observed physical inode: the scan count then matches
+    // an offline merge, which is what drives the detector's duplicate-id
+    // (Double Reference) conviction.
     for (std::uint32_t scan = 0; scan < state.scans; ++scan) {
-      partial.add_vertex(state.fid, state.kind);
-    }
-    for (const auto& [dst, kind] : state.out) {
-      partial.add_edge(state.fid, dst, kind);
+      vertices.intern_scanned(state.fid, state.kind);
     }
   }
-  const PartialGraph partials[] = {partial};
-  return UnifiedGraph::aggregate(partials, pool);
+  std::vector<GidEdge> edges;
+  edges.reserve(edge_count_);
+  for (const VertexState& state : slots_) {
+    if (!state.live || state.out.empty()) continue;
+    const Gid src = vertices.intern_referenced(state.fid);
+    for (const auto& [dst, kind] : state.out) {
+      edges.push_back({src, vertices.intern_referenced(dst), kind});
+    }
+  }
+  return UnifiedGraph::from_table(std::move(vertices), std::move(edges), pool);
 }
 
 }  // namespace faultyrank

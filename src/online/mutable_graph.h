@@ -57,8 +57,9 @@ class MutableMetadataGraph {
     return edge_count_;
   }
 
-  /// Immutable snapshot for the rank kernel + detector. The pool, if
-  /// given, parallelizes the aggregation (result is identical).
+  /// Immutable snapshot for the rank kernel + detector, interned
+  /// straight from the slot array. The pool, if given, parallelizes the
+  /// pairing analysis (result is identical).
   [[nodiscard]] UnifiedGraph freeze(ThreadPool* pool = nullptr) const;
 
   /// Monotone mutation counter: bumped by every call that changes the

@@ -151,8 +151,11 @@ class OnlineChecker {
   // one; duplicate-id corruption makes it several).
   std::unordered_map<Fid, std::vector<SlotRef>, FidHash> claimants_;
 
-  // Previous check's converged ranks, keyed by FID, for warm starts.
-  std::unordered_map<Fid, std::pair<double, double>, FidHash> last_ranks_;
+  // Previous check's converged ranks for warm starts, indexed by the
+  // GIDs of the snapshot that check ran on (snapshot_ until the next
+  // rebuild, which maps them onto the new GIDs by FID).
+  std::vector<double> last_id_rank_;
+  std::vector<double> last_prop_rank_;
 };
 
 }  // namespace faultyrank

@@ -1,8 +1,11 @@
 // The parallel aggregation pipeline must be bit-identical to the serial
 // reference path: same GIDs, same CSR, same pairing flags, same
-// unpaired-edge ordering — for any thread count.
+// unpaired-edge ordering — for any thread count. A committed golden
+// digest pins that output across refactors of the build path itself.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "aggregator/aggregator.h"
@@ -61,6 +64,75 @@ void expect_identical(const UnifiedGraph& expected, const UnifiedGraph& actual) 
   ASSERT_EQ(expected.unpaired_edges(), actual.unpaired_edges());
 }
 
+/// 64-bit FNV-1a over everything expect_identical() compares: per GID
+/// the fid, kind and scan count; the forward and reverse CSR (offsets,
+/// targets, kinds); the pairing flag of every forward slot; and the
+/// unpaired-edge list in order.
+class GraphDigest {
+ public:
+  explicit GraphDigest(const UnifiedGraph& g) {
+    const VertexTable& table = g.vertices();
+    mix(g.vertex_count());
+    for (Gid v = 0; v < g.vertex_count(); ++v) {
+      mix(table.fid_of(v).seq);
+      mix(table.fid_of(v).oid);
+      mix(table.fid_of(v).ver);
+      mix(static_cast<std::uint64_t>(table.kind_of(v)));
+      mix(table.scan_count(v));
+    }
+    mix_csr(g.forward());
+    mix_csr(g.reverse());
+    for (std::uint64_t slot = 0; slot < g.edge_count(); ++slot) {
+      mix(g.paired(slot) ? 1 : 0);
+    }
+    mix(g.unpaired_edges().size());
+    for (const UnpairedEdge& e : g.unpaired_edges()) {
+      mix(e.src);
+      mix(e.dst);
+      mix(static_cast<std::uint64_t>(e.kind));
+    }
+  }
+
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  void mix(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xff;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void mix_csr(const Csr& csr) {
+    mix(csr.vertex_count());
+    mix(csr.edge_count());
+    for (Gid v = 0; v < csr.vertex_count(); ++v) {
+      mix(csr.edges_begin(v));
+      for (auto slot = csr.edges_begin(v); slot < csr.edges_end(v); ++slot) {
+        mix(csr.target(slot));
+        mix(static_cast<std::uint64_t>(csr.kind(slot)));
+      }
+    }
+  }
+
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Digest of the golden cluster's graph below. Interning order, CSR
+/// layout and pairing feed the rank kernel and the detector, so any
+/// change to them is a behaviour change: this must stay fixed across
+/// refactors of the build path.
+constexpr std::uint64_t kGoldenClusterDigest = 0x9750420a79a2735dULL;
+
+/// The golden cluster: 2 000 files on 4 OSTs, every scenario injected.
+LustreCluster make_golden_cluster() {
+  LustreCluster cluster = testing::make_populated_cluster(2000, 1201);
+  FaultInjector injector(cluster, 1202);
+  for (const Scenario scenario : FaultInjector::scenario_list()) {
+    (void)injector.inject(scenario);
+  }
+  return cluster;
+}
+
 /// Partials engineered to hit every interning wrinkle: cross-partial
 /// duplicate scans (double-reference), phantom endpoints, last-wins
 /// kind upgrades, and edges seen before/after their vertices.
@@ -100,6 +172,24 @@ TEST(ParallelAggregateTest, RmatFinalizeMatchesSerialForAnyThreadCount) {
     const UnifiedGraph parallel =
         UnifiedGraph::from_edges(rmat.vertex_count, rmat.edges, &pool);
     expect_identical(serial, parallel);
+  }
+}
+
+TEST(ParallelAggregateTest, GoldenClusterDigestHoldsForEveryPoolSize) {
+  const LustreCluster cluster = make_golden_cluster();
+  const ClusterScan scan = scan_cluster(cluster);
+  for (const std::optional<std::size_t> threads :
+       {std::optional<std::size_t>(), std::optional<std::size_t>(1),
+        std::optional<std::size_t>(4), std::optional<std::size_t>(8)}) {
+    std::optional<ThreadPool> pool;
+    if (threads) pool.emplace(*threads);
+    ThreadPool* borrowed = pool ? &*pool : nullptr;
+    const AggregationResult batch = aggregate(scan.results, {}, borrowed);
+    EXPECT_EQ(GraphDigest(batch.graph).value(), kGoldenClusterDigest)
+        << "batch, pool " << (threads ? *threads : 0);
+    const PipelineResult streamed = scan_and_aggregate(cluster, borrowed);
+    EXPECT_EQ(GraphDigest(streamed.agg.graph).value(), kGoldenClusterDigest)
+        << "streamed, pool " << (threads ? *threads : 0);
   }
 }
 

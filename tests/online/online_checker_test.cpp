@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "aggregator/aggregator.h"
 #include "checker/repair_executor.h"
 #include "faults/injector.h"
@@ -10,6 +16,126 @@
 
 namespace faultyrank {
 namespace {
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& ranks) {
+  std::vector<std::uint64_t> bits(ranks.size());
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    bits[i] = std::bit_cast<std::uint64_t>(ranks[i]);
+  }
+  return bits;
+}
+
+/// The warm-start semantics check() must reproduce, kept here as the
+/// reference: the previous check's ranks keyed by FID, seeding each
+/// vertex of the next snapshot that carries a known FID; new vertices
+/// start at the uniform initial rank.
+class FidKeyedWarmStart {
+ public:
+  /// Runs the rank kernel on `snapshot` seeded from the last record().
+  [[nodiscard]] FaultyRankResult rank(const UnifiedGraph& snapshot,
+                                      FaultyRankConfig config) const {
+    std::vector<double> warm_id;
+    std::vector<double> warm_prop;
+    if (!last_.empty()) {
+      const std::size_t n = snapshot.vertex_count();
+      warm_id.assign(n, config.initial_rank);
+      warm_prop.assign(n, config.initial_rank);
+      for (Gid v = 0; v < n; ++v) {
+        const auto it = last_.find(snapshot.vertices().fid_of(v));
+        if (it != last_.end()) {
+          warm_id[v] = it->second.first;
+          warm_prop[v] = it->second.second;
+        }
+      }
+      config.initial_id_ranks = &warm_id;
+      config.initial_prop_ranks = &warm_prop;
+    }
+    const PropagationPlan plan =
+        PropagationPlan::build(snapshot, config.unpaired_weight);
+    return run_faultyrank(snapshot, plan, config);
+  }
+
+  void record(const UnifiedGraph& snapshot, const FaultyRankResult& ranks) {
+    last_.clear();
+    for (Gid v = 0; v < snapshot.vertex_count(); ++v) {
+      last_.emplace(snapshot.vertices().fid_of(v),
+                    std::pair(ranks.id_rank[v], ranks.prop_rank[v]));
+    }
+  }
+
+ private:
+  std::unordered_map<Fid, std::pair<double, double>, FidHash> last_;
+};
+
+TEST(OnlineCheckerTest, WarmStartMatchesFidKeyedReference) {
+  LustreCluster cluster = testing::make_populated_cluster(150, 78);
+  ChangeLog log;
+  cluster.attach_changelog(&log);
+  OnlineChecker checker(cluster);
+  checker.bootstrap();
+  FidKeyedWarmStart reference;
+
+  // Checks once, asserting check()'s ranks are bit-identical to the
+  // FID-keyed reference over the same snapshot.
+  const auto check = [&](const char* step) {
+    const UnifiedGraph snapshot = checker.graph().freeze();
+    const FaultyRankResult expected =
+        reference.rank(snapshot, OnlineCheckerConfig{}.rank);
+    const OnlineCheckResult actual = checker.check();
+    EXPECT_EQ(bits_of(actual.ranks.id_rank), bits_of(expected.id_rank))
+        << step;
+    EXPECT_EQ(bits_of(actual.ranks.prop_rank), bits_of(expected.prop_rank))
+        << step;
+    EXPECT_EQ(actual.ranks.iterations, expected.iterations) << step;
+    reference.record(snapshot, actual.ranks);
+    return std::pair(actual, snapshot.vertices());
+  };
+
+  (void)check("cold");
+  EXPECT_TRUE(check("plan reuse").first.plan_reused);
+
+  // New vertices start uniform; known ones carry over under new GIDs.
+  const Fid dir = cluster.mkdir(cluster.root(), "churn");
+  for (int i = 0; i < 5; ++i) {
+    cluster.create_file(dir, "f" + std::to_string(i), 128 * 1024);
+  }
+  checker.catch_up();
+  EXPECT_FALSE(check("growth").first.plan_reused);
+
+  // Unlink retires a vertex and its stripes.
+  cluster.unlink(dir, "f2");
+  checker.catch_up();
+  (void)check("unlink");
+
+  // An id corruption retires the victim's vertex; the references still
+  // naming it turn it into a phantom target.
+  FaultInjector injector(cluster, 7878);
+  const GroundTruth dangling = injector.inject(Scenario::kDanglingTargetId);
+  checker.full_scrub();
+  ASSERT_FALSE(checker.graph().contains(dangling.victim));
+  {
+    const auto [result, vertices] = check("phantom");
+    const Gid phantom = vertices.lookup(dangling.victim);
+    ASSERT_NE(phantom, kInvalidGid);
+    EXPECT_FALSE(vertices.is_scanned(phantom));
+  }
+
+  // Two physical inodes under one fid: a scan count > 1.
+  const GroundTruth duplicate =
+      injector.inject(Scenario::kDoubleRefDuplicateId);
+  checker.full_scrub();
+  {
+    const auto [result, vertices] = check("duplicate id");
+    const Gid dup = vertices.lookup(duplicate.current);
+    ASSERT_NE(dup, kInvalidGid);
+    EXPECT_GT(vertices.scan_count(dup), 1u);
+  }
+  EXPECT_TRUE(check("plan reuse after faults").first.plan_reused);
+
+  // A re-bootstrap rebuilds the graph; the warm ranks still map by FID.
+  checker.bootstrap();
+  EXPECT_FALSE(check("re-bootstrap").first.plan_reused);
+}
 
 TEST(OnlineCheckerTest, BootstrapMatchesOfflineScan) {
   LustreCluster cluster = testing::make_populated_cluster(150, 61);

@@ -7,8 +7,8 @@
 // allocates without touching the pages; the first write wins, which
 // lets ThreadPool::parallel_for_ranges(..., sticky) initialize each
 // range on the worker that will sweep it every iteration
-// (DESIGN.md §14). The 64-byte alignment also keeps SIMD loads off
-// split cache lines.
+// (DESIGN.md §14). The 64-byte alignment starts each array at the
+// beginning of a cache line.
 //
 // Elements are intentionally restricted to trivial types: nothing is
 // constructed or destroyed, and reading an element before writing it

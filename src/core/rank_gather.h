@@ -1,24 +1,18 @@
-// The canonical per-vertex gather tree shared by every rank kernel
+// The canonical per-vertex gather tree shared by both rank kernels
 // (DESIGN.md §14).
 //
 // A vertex's gather Σ rank[target(slot)]·coeff[slot] is accumulated
-// into kGatherLanes independent partial sums by relative slot position
-// modulo the lane count, then combined pairwise:
-//
-//   doubles (4 lanes):  (l0 + l2) + (l1 + l3)
-//   floats  (8 lanes):  halve first (m_j = l_j + l_{j+4}), then the
-//                       4-lane tree over m.
-//
-// This is exactly what a 256-bit vector accumulator computes: the SIMD
-// loop's per-lane add is the scalar loop's modular lane add, and the
-// horizontal reduction is the pairwise tree. Because BOTH the scalar
-// and the SIMD implementations (and the naive reference kernel's
-// inlined loops) use this one shape, SIMD-vs-scalar and
-// planned-vs-reference stay bit-identical. Two provisos, both enforced
-// by the build: no FMA contraction (rank·coeff must round before the
-// add — the whole project compiles with -ffp-contract=off), and
-// skipped zero-coefficient terms must be exact +0.0 adds, which are
-// no-ops on the non-negative partial sums these kernels produce.
+// into kGatherLanes = 4 independent partial sums by relative slot
+// position modulo 4, then combined pairwise as
+// (l0 + l2) + (l1 + l3). The four independent accumulators break the
+// serial add dependency of a single running sum. Because the plan
+// kernel calls gather_scalar and the naive reference kernel inlines the
+// same lane loop, planned-vs-reference stay bit-identical. Two
+// provisos, both enforced by the build: no FMA contraction
+// (rank·coeff must round before the add — the whole project compiles
+// with -ffp-contract=off), and skipped zero-coefficient terms must be
+// exact +0.0 adds, which are no-ops on the non-negative partial sums
+// these kernels produce.
 #pragma once
 
 #include <cstddef>
@@ -28,45 +22,19 @@
 
 namespace faultyrank::detail {
 
-template <typename Real>
-inline constexpr std::size_t kGatherLanes = 32 / sizeof(Real);
+inline constexpr std::size_t kGatherLanes = 4;
 
-/// Portable implementation of the canonical tree; the oracle the SIMD
-/// paths are tested bit-for-bit against. Header-inline so the golden
-/// test exercises the very code the kernel runs.
-template <typename Real>
-[[nodiscard]] inline Real gather_scalar(const Gid* targets, const Real* coeff,
-                                        std::uint64_t count,
-                                        const Real* rank) noexcept {
-  constexpr std::size_t kLanes = kGatherLanes<Real>;
-  Real lanes[kLanes] = {};
+/// The canonical tree over one vertex's slots. Header-inline so the
+/// kernel's inner loop sees through it.
+[[nodiscard]] inline double gather_scalar(const Gid* targets,
+                                          const double* coeff,
+                                          std::uint64_t count,
+                                          const double* rank) noexcept {
+  double lanes[kGatherLanes] = {};
   for (std::uint64_t i = 0; i < count; ++i) {
-    lanes[i % kLanes] += rank[targets[i]] * coeff[i];
+    lanes[i % kGatherLanes] += rank[targets[i]] * coeff[i];
   }
-  if constexpr (kLanes == 4) {
-    return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-  } else {
-    Real half[4];
-    for (std::size_t j = 0; j < 4; ++j) half[j] = lanes[j] + lanes[j + 4];
-    return (half[0] + half[2]) + (half[1] + half[3]);
-  }
+  return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
 }
-
-#if defined(FAULTYRANK_SIMD)
-/// True when the running CPU can execute the AVX2 paths (checked once
-/// per kernel invocation; the binary always carries the scalar path).
-[[nodiscard]] bool cpu_supports_avx2() noexcept;
-
-/// AVX2 gathers — bit-identical to gather_scalar by construction
-/// (tests/core/simd_gather_test.cpp proves it with std::bit_cast).
-/// Indices are sign-extended by the gather instruction, so callers must
-/// keep vertex counts ≤ INT32_MAX (the dispatcher enforces this).
-[[nodiscard]] double gather_avx2_f64(const Gid* targets, const double* coeff,
-                                     std::uint64_t count,
-                                     const double* rank) noexcept;
-[[nodiscard]] float gather_avx2_f32(const Gid* targets, const float* coeff,
-                                    std::uint64_t count,
-                                    const float* rank) noexcept;
-#endif  // FAULTYRANK_SIMD
 
 }  // namespace faultyrank::detail

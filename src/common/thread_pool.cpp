@@ -235,6 +235,20 @@ std::vector<std::size_t> partition_by_weight(
   return bounds;
 }
 
+void for_each_range(
+    ThreadPool* pool, std::span<const std::size_t> boundaries,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+  if (pool != nullptr) {
+    pool->parallel_for_ranges(boundaries, body);
+    return;
+  }
+  for (std::size_t c = 0; c + 1 < boundaries.size(); ++c) {
+    if (boundaries[c] < boundaries[c + 1]) {
+      body(boundaries[c], boundaries[c + 1], c);
+    }
+  }
+}
+
 void ThreadPool::run_task(Task task) {
   std::exception_ptr error;
   try {

@@ -198,4 +198,12 @@ class ThreadPool {
     std::span<const std::uint64_t> prefix, std::size_t chunks,
     std::size_t align = 1);
 
+/// Runs body(begin, end, range_index) for each consecutive boundary pair
+/// of `boundaries`: on `pool` through parallel_for_ranges, or in range
+/// order on the calling thread when `pool` is null. Callers that write
+/// only range-owned state get the same result either way.
+void for_each_range(
+    ThreadPool* pool, std::span<const std::size_t> boundaries,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+
 }  // namespace faultyrank

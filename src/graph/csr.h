@@ -3,9 +3,13 @@
 //
 // Built once from an edge triple list with a counting sort; adjacency
 // lists are sorted by (target, kind) so membership tests are binary
-// searches and iteration order is deterministic. Multi-edges are kept:
-// a corrupted directory can legitimately contain duplicate entries, and
-// the Double Reference scenarios depend on seeing both copies.
+// searches, merges are linear and iteration order is deterministic.
+// That per-vertex sort is the only comparison sort in a graph build:
+// the reverse CSR is the transpose of the sorted forward one, scattered
+// in ascending-source order, so it comes out sorted by (source, kind)
+// already. Multi-edges are kept: a corrupted directory can legitimately
+// contain duplicate entries, and the Double Reference scenarios depend
+// on seeing both copies.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +19,8 @@
 #include "graph/types.h"
 
 namespace faultyrank {
+
+class ThreadPool;
 
 /// One edge as fed to the CSR builder.
 struct GidEdge {
@@ -30,11 +36,23 @@ class Csr {
   Csr() = default;
 
   /// Builds adjacency over `vertex_count` vertices. Edges may arrive in
-  /// any order; endpoints must be < vertex_count.
-  static Csr build(std::size_t vertex_count, std::span<const GidEdge> edges);
+  /// any order; an endpoint >= vertex_count throws std::out_of_range.
+  /// The count and scatter run on the calling thread; the per-vertex
+  /// sort runs over edge_ranges(pool). The result does not depend on
+  /// the pool.
+  static Csr build(std::size_t vertex_count, std::span<const GidEdge> edges,
+                   ThreadPool* pool = nullptr);
 
-  /// Builds the edge-reversed graph (dst→src) over the same vertex set.
-  [[nodiscard]] Csr reversed() const;
+  /// The edge-reversed graph (dst→src) over the same vertex set, equal
+  /// to build() over the reversed edges. Each range of targets is filled
+  /// by one task that walks the sources in ascending order, so no slot is
+  /// contended and no adjacency needs sorting.
+  [[nodiscard]] Csr reversed(ThreadPool* pool = nullptr) const;
+
+  /// Vertex ranges of about equal edge count (partition_by_weight over
+  /// offsets()), one per worker of `pool`, or one range without a pool.
+  /// Every per-vertex pass of a graph build splits its work this way.
+  [[nodiscard]] std::vector<std::size_t> edge_ranges(ThreadPool* pool) const;
 
   [[nodiscard]] std::size_t vertex_count() const noexcept {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
@@ -67,9 +85,9 @@ class Csr {
   [[nodiscard]] Gid target(std::uint64_t slot) const noexcept {
     return targets_[slot];
   }
-  /// The raw slot→target array. The SIMD rank kernels feed four/eight
-  /// consecutive entries straight into a vector gather, so they need
-  /// the contiguous storage, not the per-slot accessor.
+  /// The raw slot→target array. The planned rank kernel walks whole
+  /// adjacency runs of it through a raw pointer in its gather loop,
+  /// rather than calling target() per slot.
   [[nodiscard]] std::span<const Gid> targets() const noexcept {
     return targets_;
   }

@@ -1,6 +1,7 @@
 #include "graph/unified_graph.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/thread_pool.h"
 
@@ -38,101 +39,91 @@ UnifiedGraph UnifiedGraph::from_table(VertexTable vertices,
                                       ThreadPool* pool) {
   UnifiedGraph g;
   g.vertices_ = std::move(vertices);
-  g.finalize(std::move(edges), pool);
+  g.forward_ = Csr::build(g.vertices_.size(), edges, pool);
+  // The forward CSR holds every edge now: free the list before the
+  // reverse and pairing passes allocate theirs.
+  std::vector<GidEdge>().swap(edges);
+  g.finalize(pool);
   return g;
 }
 
 UnifiedGraph UnifiedGraph::from_edges(std::size_t vertex_count,
                                       std::span<const GidEdge> edges,
                                       ThreadPool* pool) {
-  VertexTable vertices;
-  vertices.reserve(vertex_count);
+  UnifiedGraph g;
+  g.vertices_.reserve(vertex_count);
   for (std::size_t v = 0; v < vertex_count; ++v) {
     // Synthesize FIDs so bench graphs flow through the same machinery.
-    vertices.intern_scanned(
+    g.vertices_.intern_scanned(
         Fid{/*seq=*/1, /*oid=*/static_cast<std::uint32_t>(v), /*ver=*/0},
         ObjectKind::kOther);
   }
-  return from_table(std::move(vertices),
-                    std::vector<GidEdge>(edges.begin(), edges.end()), pool);
+  g.forward_ = Csr::build(vertex_count, edges, pool);
+  g.finalize(pool);
+  return g;
 }
 
-void UnifiedGraph::finalize(std::vector<GidEdge> edges, ThreadPool* pool) {
-  forward_ = Csr::build(vertices_.size(), edges);
-  reverse_ = forward_.reversed();
+void UnifiedGraph::finalize(ThreadPool* pool) {
+  reverse_ = forward_.reversed(pool);
 
   const std::size_t n = vertices_.size();
-  forward_paired_.assign(forward_.edge_count(), 0);
-  in_paired_.assign(n, 0);
-  in_unpaired_.assign(n, 0);
-  unpaired_.clear();
+  forward_paired_.resize(forward_.edge_count());
+  in_paired_.resize(n);
+  in_unpaired_.resize(n);
 
-  if (pool == nullptr || pool->size() <= 1 || n == 0) {
-    for (Gid u = 0; u < n; ++u) {
-      for (auto slot = forward_.edges_begin(u); slot < forward_.edges_end(u);
+  // Pairing: merge the sorted out(x) with the sorted in(x) per vertex x.
+  // Slot x→y is paired iff y ∈ in(x), i.e. y→x exists; an in-edge y→x is
+  // paired iff y ∈ out(x). Every write is owned by x, so ranges of x need
+  // no synchronization; each range also counts its unpaired slots.
+  const std::vector<std::size_t> ranges = forward_.edge_ranges(pool);
+  const std::span<const Gid> out = forward_.targets();
+  const std::span<const Gid> in = reverse_.targets();
+  std::vector<std::uint64_t> range_unpaired(ranges.size(), 0);
+  for_each_range(pool, ranges, [&](std::size_t first, std::size_t last,
+                                   std::size_t range) {
+    std::uint64_t unpaired_slots = 0;
+    for (auto x = static_cast<Gid>(first); x < last; ++x) {
+      const std::uint64_t o_end = forward_.edges_end(x);
+      const std::uint64_t i_end = reverse_.edges_end(x);
+      std::uint64_t i = reverse_.edges_begin(x);
+      std::uint32_t paired_in = 0;
+      for (std::uint64_t o = forward_.edges_begin(x); o < o_end;) {
+        const Gid y = out[o];
+        while (i < i_end && in[i] < y) ++i;
+        const std::uint64_t i_run = i;
+        while (i < i_end && in[i] == y) ++i;
+        paired_in += static_cast<std::uint32_t>(i - i_run);
+        const std::uint64_t o_run = o;
+        while (o < o_end && out[o] == y) ++o;
+        std::fill(forward_paired_.begin() + static_cast<std::ptrdiff_t>(o_run),
+                  forward_paired_.begin() + static_cast<std::ptrdiff_t>(o),
+                  i > i_run ? 1 : 0);
+        if (i == i_run) unpaired_slots += o - o_run;
+      }
+      in_paired_[x] = paired_in;
+      in_unpaired_[x] =
+          static_cast<std::uint32_t>(reverse_.out_degree(x) - paired_in);
+    }
+    range_unpaired[range] = unpaired_slots;
+  });
+
+  // Unpaired list in (source GID, slot) order: an exclusive prefix sum
+  // over the range counts gives each range its write offset.
+  std::exclusive_scan(range_unpaired.begin(), range_unpaired.end(),
+                      range_unpaired.begin(), std::uint64_t{0});
+  unpaired_.resize(range_unpaired.back());
+  for_each_range(pool, ranges, [&](std::size_t first, std::size_t last,
+                                   std::size_t range) {
+    std::uint64_t next = range_unpaired[range];
+    for (auto x = static_cast<Gid>(first); x < last; ++x) {
+      for (auto slot = forward_.edges_begin(x); slot < forward_.edges_end(x);
            ++slot) {
-        const Gid v = forward_.target(slot);
-        const bool is_paired = forward_.has_edge(v, u);
-        forward_paired_[slot] = is_paired ? 1 : 0;
-        if (is_paired) {
-          ++in_paired_[v];
-        } else {
-          ++in_unpaired_[v];
-          unpaired_.push_back({u, v, forward_.kind(slot)});
+        if (forward_paired_[slot] == 0) {
+          unpaired_[next++] = {x, out[slot], forward_.kind(slot)};
         }
       }
     }
-    return;
-  }
-
-  // Pass A (parallel over source-vertex ranges): pairing flags land in
-  // disjoint slot ranges; unpaired edges collect into per-chunk buffers
-  // whose concatenation in chunk order reproduces the serial (src-Gid,
-  // slot) ordering exactly.
-  std::vector<std::vector<UnpairedEdge>> chunk_unpaired(
-      std::min(n, pool->size()));
-  pool->parallel_for(
-      n, [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        auto& local = chunk_unpaired[chunk];
-        for (Gid u = static_cast<Gid>(begin); u < end; ++u) {
-          for (auto slot = forward_.edges_begin(u);
-               slot < forward_.edges_end(u); ++slot) {
-            const Gid v = forward_.target(slot);
-            const bool is_paired = forward_.has_edge(v, u);
-            forward_paired_[slot] = is_paired ? 1 : 0;
-            if (!is_paired) local.push_back({u, v, forward_.kind(slot)});
-          }
-        }
-      });
-  std::size_t unpaired_total = 0;
-  for (const auto& local : chunk_unpaired) unpaired_total += local.size();
-  unpaired_.reserve(unpaired_total);
-  for (const auto& local : chunk_unpaired) {
-    unpaired_.insert(unpaired_.end(), local.begin(), local.end());
-  }
-
-  // Pass B (parallel over target-vertex ranges): each in-edge u→v of v
-  // is re-tested with the same predicate the serial loop used
-  // (has_edge(v, u)), so the per-vertex counts are race-free and
-  // identical to the serial scatter.
-  pool->parallel_for(n,
-                     [&](std::size_t begin, std::size_t end, std::size_t) {
-                       for (Gid v = static_cast<Gid>(begin); v < end; ++v) {
-                         std::uint32_t paired = 0;
-                         std::uint32_t unpaired = 0;
-                         for (auto slot = reverse_.edges_begin(v);
-                              slot < reverse_.edges_end(v); ++slot) {
-                           const Gid u = reverse_.target(slot);
-                           if (forward_.has_edge(v, u)) {
-                             ++paired;
-                           } else {
-                             ++unpaired;
-                           }
-                         }
-                         in_paired_[v] = paired;
-                         in_unpaired_[v] = unpaired;
-                       }
-                     });
+  });
 }
 
 std::uint64_t UnifiedGraph::bytes() const {

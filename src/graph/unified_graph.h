@@ -10,6 +10,8 @@
 //                         unpaired-edge weight (Fig. 4).
 //   * unpaired_edges()  — the S_chk seed: every edge lacking its
 //                         point-back counterpart.
+// The analysis is one linear merge per vertex of its sorted out- and
+// in-adjacency, run over edge-balanced vertex ranges; see finalize().
 #pragma once
 
 #include <cstdint>
@@ -40,21 +42,22 @@ class UnifiedGraph {
   /// every partial's vertices are interned first, then every edge's
   /// endpoints, src before dst, on one thread. FIDs referenced by edges
   /// but scanned on no server become phantom vertices. The pool, if
-  /// given, parallelizes the paired-edge classification; the result is
-  /// byte-identical for any thread count.
+  /// given, runs the CSR sort, transpose and pairing passes; the result
+  /// is byte-identical for any thread count.
   [[nodiscard]] static UnifiedGraph aggregate(
       std::span<const PartialGraph> partials, ThreadPool* pool = nullptr);
 
   /// Builds the CSR and pairing analysis over an interned vertex table
   /// and edges already remapped to its GIDs — the step every graph build
-  /// ends in. Every edge endpoint must be < vertices.size().
+  /// ends in. Every edge endpoint must be < vertices.size(). The edge
+  /// list is freed as soon as the forward CSR holds it.
   [[nodiscard]] static UnifiedGraph from_table(VertexTable vertices,
                                                std::vector<GidEdge> edges,
                                                ThreadPool* pool = nullptr);
 
-  /// Builds directly from a dense edge list (benchmark graphs). All
-  /// vertices are considered scanned, kind kOther. The pool, if given,
-  /// parallelizes the paired-edge classification.
+  /// Builds directly from a dense edge list (benchmark graphs), read in
+  /// place. All vertices are considered scanned, kind kOther. The pool
+  /// is used as in aggregate().
   [[nodiscard]] static UnifiedGraph from_edges(std::size_t vertex_count,
                                                std::span<const GidEdge> edges,
                                                ThreadPool* pool = nullptr);
@@ -92,7 +95,13 @@ class UnifiedGraph {
   [[nodiscard]] std::uint64_t bytes() const;
 
  private:
-  void finalize(std::vector<GidEdge> edges, ThreadPool* pool);
+  /// Builds reverse_ and the pairing analysis from forward_: the
+  /// transpose, then per vertex x one merge of out(x) with in(x) (slot
+  /// x→y is paired iff y ∈ in(x); in_paired_[x] counts the y ∈ in(x)
+  /// that are also in out(x)), then the unpaired list written in place
+  /// at per-range offsets. The pairing passes run over
+  /// forward_.edge_ranges(), the transpose over the reverse CSR's.
+  void finalize(ThreadPool* pool);
 
   VertexTable vertices_;
   Csr forward_;

@@ -6,9 +6,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "aggregator/aggregator.h"
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "faults/injector.h"
 #include "graph/unified_graph.h"
@@ -123,6 +125,76 @@ class GraphDigest {
 /// refactors of the build path.
 constexpr std::uint64_t kGoldenClusterDigest = 0x9750420a79a2735dULL;
 
+/// GraphDigest's value, continued (64-bit FNV-1a) over the per-vertex
+/// in-degree split, which GraphDigest leaves out: this pins the whole
+/// output of UnifiedGraph::finalize.
+std::uint64_t finalize_digest(const UnifiedGraph& g) {
+  std::uint64_t hash = GraphDigest(g).value();
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (Gid v = 0; v < g.vertex_count(); ++v) {
+    mix(g.paired_in_degree(v));
+    mix(g.unpaired_in_degree(v));
+  }
+  return hash;
+}
+
+/// A multigraph built by hand to hit every finalize wrinkle: self-loops
+/// (one vertex with two, of different kinds), duplicate u→v edges of the
+/// same kind and of different kinds, paired and unpaired duplicates,
+/// isolated vertices (including the last GIDs), and one hub with more
+/// than 4096 out-edges and 4096 in-edges, so it outweighs any range's
+/// share of the edges at every pool size. The edges arrive shuffled.
+GeneratedGraph make_finalize_multigraph() {
+  constexpr EdgeKind kKinds[] = {EdgeKind::kDirent, EdgeKind::kLinkEa,
+                                 EdgeKind::kLovEa, EdgeKind::kObjParent,
+                                 EdgeKind::kGeneric};
+  GeneratedGraph g;
+  g.vertex_count = 6000;  // 5500..5999 stay isolated
+  constexpr Gid kHub = 17;
+  for (std::uint32_t i = 0; i < 5000; ++i) {
+    // Targets 100..3099; 2000 of them are hit twice, with the same kind.
+    g.edges.push_back({kHub, 100 + (i * 7) % 3000, kKinds[i % 5]});
+  }
+  for (std::uint32_t i = 0; i < 4500; ++i) {
+    // Sources 200..3099 point back along a hub out-edge; the rest don't.
+    g.edges.push_back({200 + i, kHub, kKinds[(i / 3) % 5]});
+  }
+  for (Gid v = 0; v < 5500; v += 97) {
+    g.edges.push_back({v, v, EdgeKind::kGeneric});
+  }
+  // Two self-loops of different kinds on one vertex (not a multiple of 97).
+  g.edges.push_back({4000, 4000, EdgeKind::kDirent});
+  g.edges.push_back({4000, 4000, EdgeKind::kLinkEa});
+  for (Gid v = 1000; v < 1200; ++v) {
+    g.edges.push_back({v, v + 1, EdgeKind::kDirent});
+    g.edges.push_back({v, v + 1, EdgeKind::kDirent});
+    g.edges.push_back({v, v + 1, EdgeKind::kLovEa});
+    if (v % 2 == 0) g.edges.push_back({v + 1, v, EdgeKind::kLinkEa});
+  }
+  for (Gid v = 3000; v < 3300; ++v) {
+    // Two-cycles v <-> v+1 for v % 3 == 1, each with a chord to 5000..5399.
+    if (v % 3 == 0) continue;
+    g.edges.push_back({v, v % 3 == 1 ? v + 1 : v - 1, kKinds[v % 5]});
+    g.edges.push_back({v, 5000 + v % 400, kKinds[(v + 1) % 5]});
+  }
+  Rng rng(0xf17a);
+  for (std::size_t i = g.edges.size(); i > 1; --i) {
+    std::swap(g.edges[i - 1], g.edges[rng.below(i)]);
+  }
+  return g;
+}
+
+/// finalize_digest of from_edges over RMAT-12 (avg degree 8) and over
+/// make_finalize_multigraph(), computed with the has_edge-based pairing
+/// passes the merge-based finalize replaced.
+constexpr std::uint64_t kGoldenRmatFinalizeDigest = 0x1ea4ea5ec77488f7ULL;
+constexpr std::uint64_t kGoldenMultigraphFinalizeDigest = 0x1a6bba537f82f6a4ULL;
+
 /// The golden cluster: 2 000 files on 4 OSTs, every scenario injected.
 LustreCluster make_golden_cluster() {
   LustreCluster cluster = testing::make_populated_cluster(2000, 1201);
@@ -172,6 +244,28 @@ TEST(ParallelAggregateTest, RmatFinalizeMatchesSerialForAnyThreadCount) {
     const UnifiedGraph parallel =
         UnifiedGraph::from_edges(rmat.vertex_count, rmat.edges, &pool);
     expect_identical(serial, parallel);
+  }
+}
+
+TEST(ParallelAggregateTest, FinalizeGoldenDigestHoldsForEveryPoolSize) {
+  const GeneratedGraph rmat = generate_rmat({.scale = 12, .avg_degree = 8});
+  const GeneratedGraph multi = make_finalize_multigraph();
+  for (const std::optional<std::size_t> threads :
+       {std::optional<std::size_t>(), std::optional<std::size_t>(1),
+        std::optional<std::size_t>(2), std::optional<std::size_t>(3),
+        std::optional<std::size_t>(4), std::optional<std::size_t>(8)}) {
+    std::optional<ThreadPool> pool;
+    if (threads) pool.emplace(*threads);
+    ThreadPool* borrowed = pool ? &*pool : nullptr;
+    const std::size_t label = threads ? *threads : 0;
+    EXPECT_EQ(finalize_digest(UnifiedGraph::from_edges(
+                  rmat.vertex_count, rmat.edges, borrowed)),
+              kGoldenRmatFinalizeDigest)
+        << std::hex << "rmat, pool " << label;
+    EXPECT_EQ(finalize_digest(UnifiedGraph::from_edges(
+                  multi.vertex_count, multi.edges, borrowed)),
+              kGoldenMultigraphFinalizeDigest)
+        << std::hex << "multigraph, pool " << label;
   }
 }
 

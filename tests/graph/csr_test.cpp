@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 
 namespace faultyrank {
 namespace {
@@ -70,6 +73,88 @@ TEST(CsrTest, MultiEdgesAreKept) {
 TEST(CsrTest, OutOfRangeEndpointThrows) {
   const std::vector<GidEdge> edges = {{0, 7, EdgeKind::kGeneric}};
   EXPECT_THROW(Csr::build(3, edges), std::out_of_range);
+}
+
+TEST(CsrTest, OutOfRangeEndpointThrowsWithPool) {
+  ThreadPool pool(3);
+  std::vector<GidEdge> edges;
+  for (Gid v = 0; v < 100; ++v) edges.push_back({v, (v + 1) % 100});
+  edges.push_back({42, 100, EdgeKind::kGeneric});  // dst out of range
+  EXPECT_THROW(Csr::build(100, edges, &pool), std::out_of_range);
+  edges.back() = {100, 42, EdgeKind::kGeneric};  // src out of range
+  EXPECT_THROW(Csr::build(100, edges, &pool), std::out_of_range);
+  EXPECT_THROW(Csr::build(100, edges), std::out_of_range);
+}
+
+/// Random multigraph with every edge kind, self-loops, duplicate u→v
+/// edges of one kind and of several kinds, and a hub holding about a
+/// third of the edges.
+std::vector<GidEdge> make_multi_kind_multigraph(std::size_t n,
+                                                std::uint64_t seed) {
+  constexpr EdgeKind kKinds[] = {EdgeKind::kDirent, EdgeKind::kLinkEa,
+                                 EdgeKind::kLovEa, EdgeKind::kObjParent,
+                                 EdgeKind::kGeneric};
+  Rng rng(seed);
+  std::vector<GidEdge> edges;
+  for (int i = 0; i < 6000; ++i) {
+    const auto src = static_cast<Gid>(i % 3 == 0 ? 7 : rng.below(n));
+    const auto dst = static_cast<Gid>(rng.below(n / 4));  // many repeats
+    edges.push_back({src, dst, kKinds[rng.below(5)]});
+  }
+  for (Gid v = 0; v < n; v += 11) edges.push_back({v, v, kKinds[v % 5]});
+  edges.push_back(edges.front());  // an exact duplicate
+  return edges;
+}
+
+TEST(CsrTest, TransposeMatchesSortedTripleReference) {
+  constexpr std::size_t kN = 400;
+  const std::vector<GidEdge> edges = make_multi_kind_multigraph(kN, 7);
+  // Reference: the reverse adjacency of v is every (src, kind) with
+  // dst == v, in (src, kind) order — i.e. the (dst, src, kind) triples
+  // sorted.
+  std::vector<std::tuple<Gid, Gid, EdgeKind>> triples;
+  for (const GidEdge& e : edges) triples.emplace_back(e.dst, e.src, e.kind);
+  std::sort(triples.begin(), triples.end());
+
+  for (const std::optional<std::size_t> threads :
+       {std::optional<std::size_t>(), std::optional<std::size_t>(1),
+        std::optional<std::size_t>(3), std::optional<std::size_t>(8)}) {
+    std::optional<ThreadPool> pool;
+    if (threads) pool.emplace(*threads);
+    ThreadPool* borrowed = pool ? &*pool : nullptr;
+    const Csr rev = Csr::build(kN, edges, borrowed).reversed(borrowed);
+    ASSERT_EQ(rev.vertex_count(), kN);
+    ASSERT_EQ(rev.edge_count(), triples.size());
+    std::uint64_t slot = 0;
+    for (Gid v = 0; v < kN; ++v) {
+      ASSERT_EQ(rev.edges_begin(v), slot) << "vertex " << v;
+      for (; slot < triples.size() && std::get<0>(triples[slot]) == v;
+           ++slot) {
+        ASSERT_EQ(rev.target(slot), std::get<1>(triples[slot])) << slot;
+        ASSERT_EQ(rev.kind(slot), std::get<2>(triples[slot])) << slot;
+      }
+      ASSERT_EQ(rev.edges_end(v), slot) << "vertex " << v;
+    }
+  }
+}
+
+TEST(CsrTest, DoubleReverseRoundTripsMultiKindGraph) {
+  constexpr std::size_t kN = 300;
+  const std::vector<GidEdge> edges = make_multi_kind_multigraph(kN, 11);
+  ThreadPool pool(4);
+  const Csr csr = Csr::build(kN, edges);
+  for (ThreadPool* borrowed : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const Csr back = csr.reversed(borrowed).reversed(borrowed);
+    ASSERT_EQ(back.vertex_count(), kN);
+    ASSERT_EQ(back.edge_count(), csr.edge_count());
+    for (Gid v = 0; v <= kN; ++v) {
+      ASSERT_EQ(back.offsets()[v], csr.offsets()[v]);
+    }
+    for (std::uint64_t slot = 0; slot < csr.edge_count(); ++slot) {
+      ASSERT_EQ(back.target(slot), csr.target(slot)) << slot;
+      ASSERT_EQ(back.kind(slot), csr.kind(slot)) << slot;
+    }
+  }
 }
 
 TEST(CsrTest, ReversedSwapsDirections) {

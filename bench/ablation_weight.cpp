@@ -73,8 +73,7 @@ Score run_campaign(double unpaired_weight) {
 
       // Rank-only localization on the broken image.
       {
-        const ClusterScan scan = scan_cluster(cluster);
-        const AggregationResult agg = aggregate(scan.results);
+        const AggregationResult agg = scan_and_aggregate(cluster, {}).agg;
         FaultyRankConfig rank_config;
         rank_config.unpaired_weight = unpaired_weight;
         rank_config.epsilon = 1e-4;

@@ -64,8 +64,8 @@ int main() {
   }
 
   std::printf("\n== raw scan -> partial graphs -> unified graph ==\n");
-  const ClusterScan scan = scan_cluster(cluster);
-  for (const ScanResult& result : scan.results) {
+  const PipelineResult pipeline = scan_and_aggregate(cluster, {});
+  for (const ScanResult& result : pipeline.scan.results) {
     std::printf("%-6s: %4zu vertices %4zu edges  (%lu inodes, "
                 "%.2f ms simulated disk)\n",
                 result.graph.server.c_str(), result.graph.vertices.size(),
@@ -73,7 +73,7 @@ int main() {
                 static_cast<unsigned long>(result.inodes_scanned),
                 result.sim_seconds * 1e3);
   }
-  const AggregationResult agg = aggregate(scan.results);
+  const AggregationResult& agg = pipeline.agg;
   std::printf("unified graph: %lu vertices, %lu edges, %zu unpaired "
               "(healthy = 0), %lu bytes over the wire\n",
               static_cast<unsigned long>(agg.graph.vertex_count()),

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "aggregator/checkpoint.h"
-#include "common/bounded_queue.h"
 #include "common/timer.h"
 #include "pfs/persistence.h"
 
@@ -27,8 +26,8 @@ void decode_partial(const ScanResult& scan, PartialGraph& out,
 }
 
 /// Fills the virtual-time transfer accounting. Pure arithmetic over the
-/// per-scanner sim times and wire sizes, so batch and streaming paths
-/// (and any thread count) report identical numbers. Failed scans keep
+/// per-scanner sim times and wire sizes, so every pool size reports
+/// identical numbers. Failed scans keep
 /// their partial sim time in the scan stage (the crash was detected at
 /// that point) but transfer nothing.
 void account_transfers(std::span<const ScanResult> scans,
@@ -93,54 +92,15 @@ void fill_coverage_fraction(std::span<const ScanResult> scans,
 
 }  // namespace
 
-AggregationResult aggregate(std::span<const ScanResult> scans,
-                            const NetModel& net, ThreadPool* pool) {
-  WallTimer timer;
-  AggregationResult result;
-
-  std::vector<PartialGraph> partials(scans.size());
-  std::vector<std::uint64_t> wire_bytes(scans.size(), 0);
-  if (pool != nullptr && pool->size() > 1 && scans.size() > 1) {
-    TaskGroup group(*pool);
-    for (std::size_t i = 0; i < scans.size(); ++i) {
-      if (scans[i].status == ScanStatus::kFailed) continue;
-      group.submit([&scans, &partials, &wire_bytes, i] {
-        decode_partial(scans[i], partials[i], wire_bytes[i]);
-      });
-    }
-    group.wait();
-  } else {
-    for (std::size_t i = 0; i < scans.size(); ++i) {
-      if (scans[i].status == ScanStatus::kFailed) continue;
-      decode_partial(scans[i], partials[i], wire_bytes[i]);
-    }
-  }
-
-  account_transfers(scans, wire_bytes, net, result);
-  fill_coverage_fraction(scans, result.coverage);
-  result.graph = merge_survivors(scans, partials, pool);
-  result.wall_seconds = timer.seconds();
-  return result;
-}
-
 PipelineResult scan_and_aggregate(const LustreCluster& cluster,
                                   const PipelineConfig& config) {
   WallTimer total_timer;
   PipelineResult out;
   ClusterScan& scan = out.scan;
-  ThreadPool* pool = config.pool;
-
-  const std::size_t mdt_count = cluster.mdt_count();
-  const std::size_t server_count = mdt_count + cluster.osts().size();
+  const ServerSlots slots(cluster, config.mdt_disk, config.ost_disk,
+                          config.faults, config.retry);
+  const std::size_t server_count = slots.size();
   scan.results.resize(server_count);
-
-  std::vector<std::string> labels(server_count);
-  for (std::size_t m = 0; m < mdt_count; ++m) {
-    labels[m] = cluster.mdt_server(m).image.label();
-  }
-  for (std::size_t i = 0; i < cluster.osts().size(); ++i) {
-    labels[mdt_count + i] = cluster.osts()[i].image.label();
-  }
 
   // Checkpoint prefill: slots completed by a previous (interrupted) run
   // are restored instead of rescanned. A missing file means a fresh
@@ -158,7 +118,7 @@ PipelineResult scan_and_aggregate(const LustreCluster& cluster,
     }
     if (have_checkpoint) {
       ScanCheckpoint loaded = deserialize_checkpoint(bytes);
-      if (loaded.labels != labels) {
+      if (loaded.labels != slots.labels()) {
         throw PersistenceError("checkpoint " + config.checkpoint_path +
                                " does not match this cluster's servers");
       }
@@ -179,152 +139,58 @@ PipelineResult scan_and_aggregate(const LustreCluster& cluster,
       }
     }
     ckpt.epoch = config.checkpoint_epoch;
-    ckpt.labels = labels;
+    ckpt.labels = slots.labels();
     ckpt.results.resize(server_count);
     for (std::size_t i = 0; i < server_count; ++i) {
       if (prefilled[i]) ckpt.results[i] = scan.results[i];
     }
   }
 
-  // Fault schedules resolved here, on the submitting thread: each scan
-  // task then touches only its own ServerFaultSchedule.
-  std::vector<ServerFaultSchedule*> schedules(server_count, nullptr);
-  if (config.faults != nullptr) {
-    for (std::size_t i = 0; i < server_count; ++i) {
-      schedules[i] = &config.faults->server(labels[i]);
-    }
-  }
-
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < server_count; ++i) {
-    if (!prefilled[i]) pending.push_back(i);
-  }
-
+  // One stream over every slot: a pending slot is scanned, a prefilled
+  // one is ready at once. The caller sees each slot as soon as it is
+  // ready, saves it to the checkpoint and honors the interrupt hook;
+  // the surviving partial is then decoded while later scans still run.
   std::vector<PartialGraph> partials(server_count);
   std::vector<std::uint64_t> wire_bytes(server_count, 0);
-  double scan_wall = 0.0;
-
-  // Runs one server's scan; operational faults come back as status
-  // kFailed from the scanner itself, and anything unexpected is
-  // captured the same way so one bad server cannot discard the others'
-  // completed work.
-  const auto scan_slot = [&](std::size_t slot) {
-    try {
-      scan.results[slot] =
-          slot < mdt_count
-              ? scan_mdt(cluster.mdt_server(slot), config.mdt_disk,
-                         schedules[slot], config.retry)
-              : scan_ost(cluster.osts()[slot - mdt_count], config.ost_disk,
-                         schedules[slot], config.retry);
-    } catch (const std::exception& error) {
-      ScanResult failed;
-      failed.graph.server = labels[slot];
-      failed.status = ScanStatus::kFailed;
-      failed.error = error.what();
-      scan.results[slot] = std::move(failed);
-    }
-  };
-
-  // Consumer-side completion hook: fold the result into the checkpoint
-  // and honor the interrupt test hook. Returns false to stop consuming.
   std::size_t new_completions = 0;
-  std::size_t since_save = 0;
-  const auto on_complete = [&](std::size_t slot) -> bool {
-    ++new_completions;
-    if (checkpointing && scan.results[slot].status != ScanStatus::kFailed) {
-      ckpt.results[slot] = scan.results[slot];
-      if (++since_save >= config.checkpoint_every) {
-        save_checkpoint(ckpt, config.checkpoint_path);
-        since_save = 0;
-      }
-    }
-    return new_completions < config.interrupt_after_servers;
-  };
-  const auto interrupt = [&]() {
-    if (checkpointing && since_save > 0) {
-      save_checkpoint(ckpt, config.checkpoint_path);
-    }
+  double scan_wall = 0.0;  // when the last scanner reported
+  const bool completed = stream_each(
+      config.pool, server_count,
+      [&](std::size_t slot) {
+        if (!prefilled[slot]) scan.results[slot] = slots.scan(slot);
+      },
+      [&](std::size_t slot) {
+        scan_wall = total_timer.seconds();
+        if (prefilled[slot]) return true;
+        if (checkpointing &&
+            scan.results[slot].status != ScanStatus::kFailed) {
+          ckpt.results[slot] = scan.results[slot];
+          save_checkpoint(ckpt, config.checkpoint_path);
+        }
+        return ++new_completions < config.interrupt_after_servers;
+      },
+      [&](std::size_t slot) {
+        if (scan.results[slot].status != ScanStatus::kFailed) {
+          decode_partial(scan.results[slot], partials[slot], wire_bytes[slot]);
+        }
+      });
+  if (!completed) {
     throw PipelineInterrupted(
         "pipeline interrupted after " + std::to_string(new_completions) +
         " scans" +
         (checkpointing ? " (checkpoint: " + config.checkpoint_path + ")"
                        : ""));
-  };
-
-  if (pool != nullptr && pool->size() > 1 && !pending.empty()) {
-    // Scanners announce completion through a bounded queue; the caller
-    // drains it and hands each finished partial straight to a decode
-    // task, so wire decode overlaps the still-running scans.
-    BoundedQueue<std::size_t> finished(
-        std::max<std::size_t>(std::size_t{2}, pool->size()));
-    TaskGroup scanners(*pool);
-    TaskGroup decoders(*pool);
-    // Prefilled slots are ready immediately — decode them while the
-    // rescans run.
-    for (std::size_t i = 0; i < server_count; ++i) {
-      if (prefilled[i] && scan.results[i].status != ScanStatus::kFailed) {
-        decoders.submit([&scan, &partials, &wire_bytes, i] {
-          decode_partial(scan.results[i], partials[i], wire_bytes[i]);
-        });
-      }
-    }
-    for (const std::size_t slot : pending) {
-      scanners.submit([&, slot] {
-        scan_slot(slot);
-        finished.push(slot);
-      });
-    }
-    bool keep_going = true;
-    for (std::size_t k = 0; k < pending.size() && keep_going; ++k) {
-      // The pop count equals the scanner count and the queue is only
-      // closed on the interrupt path, so every pop yields a value.
-      const std::size_t i = finished.pop().value();
-      if (scan.results[i].status != ScanStatus::kFailed) {
-        decoders.submit([&scan, &partials, &wire_bytes, i] {
-          decode_partial(scan.results[i], partials[i], wire_bytes[i]);
-        });
-      }
-      keep_going = on_complete(i);
-    }
-    if (!keep_going) {
-      // Unblock any scanner still waiting to push, then unwind; the
-      // task groups drain (without rethrow) in their destructors.
-      finished.close();
-      interrupt();
-    }
-    scan_wall = total_timer.seconds();  // every scanner has reported
-    scanners.wait();
-    decoders.wait();
-  } else {
-    for (const std::size_t slot : pending) {
-      scan_slot(slot);
-      if (!on_complete(slot)) interrupt();
-    }
-    scan_wall = total_timer.seconds();
-    for (std::size_t i = 0; i < server_count; ++i) {
-      if (scan.results[i].status != ScanStatus::kFailed) {
-        decode_partial(scan.results[i], partials[i], wire_bytes[i]);
-      }
-    }
   }
-
   scan.wall_seconds = scan_wall;
-  for (const auto& result : scan.results) {
-    // Each server scans its own disks concurrently; the cluster-level
-    // virtual scan time is the slowest server.
-    scan.sim_seconds = std::max(scan.sim_seconds, result.sim_seconds);
-    scan.inodes_scanned += result.inodes_scanned;
-  }
+  scan.total();
 
   // Coverage roll-up: which servers (and so which FID sequences) were
   // lost, which inodes were quarantined on survivors.
   CoverageInfo& coverage = out.agg.coverage;
   for (std::size_t i = 0; i < server_count; ++i) {
     if (scan.results[i].status != ScanStatus::kFailed) continue;
-    out.failed_servers.push_back(labels[i]);
-    coverage.add_lost_sequence(i < mdt_count
-                                   ? cluster.mdt_server(i).fids.seq()
-                                   : cluster.osts()[i - mdt_count].fids.seq());
+    out.failed_servers.push_back(slots.labels()[i]);
+    coverage.add_lost_sequence(slots.fid_seq(i));
   }
   fill_coverage_fraction(scan.results, coverage);
 
@@ -332,29 +198,16 @@ PipelineResult scan_and_aggregate(const LustreCluster& cluster,
     std::string message = "scan failed on";
     for (std::size_t i = 0; i < server_count; ++i) {
       if (scan.results[i].status != ScanStatus::kFailed) continue;
-      message += " " + labels[i] + " (" + scan.results[i].error + ")";
+      message += " " + slots.labels()[i] + " (" + scan.results[i].error + ")";
     }
     throw PipelineError(message, std::move(out.failed_servers));
   }
 
   account_transfers(scan.results, wire_bytes, config.net, out.agg);
-  out.agg.graph = merge_survivors(scan.results, partials, pool);
+  out.agg.graph = merge_survivors(scan.results, partials, config.pool);
   out.wall_seconds = total_timer.seconds();
   out.agg.wall_seconds = std::max(0.0, out.wall_seconds - scan_wall);
   return out;
-}
-
-PipelineResult scan_and_aggregate(const LustreCluster& cluster,
-                                  ThreadPool* pool, const DiskModel& mdt_disk,
-                                  const DiskModel& ost_disk,
-                                  const NetModel& net) {
-  PipelineConfig config;
-  config.pool = pool;
-  config.mdt_disk = mdt_disk;
-  config.ost_disk = ost_disk;
-  config.net = net;
-  config.allow_degraded = false;
-  return scan_and_aggregate(cluster, config);
 }
 
 }  // namespace faultyrank

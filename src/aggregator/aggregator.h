@@ -7,23 +7,20 @@
 // remaps 128-bit FIDs to dense GIDs, and builds the forward + reversed
 // CSR with the pairing analysis — everything FaultyRank needs.
 //
-// Two entry points:
-//   * aggregate()          — batch: takes a finished cluster scan.
-//   * scan_and_aggregate() — streaming: runs the scanners itself and
-//     decodes each partial as its scanner finishes (bounded-queue
-//     handoff), overlapping wire decode with the remaining scans. The
-//     produced graph and virtual-time numbers are identical to the
-//     batch path; only wall time improves.
+// One entry point, scan_and_aggregate(): it runs the scanners itself
+// and decodes each partial as soon as its scanner reports, so on a
+// pool the wire decode overlaps the remaining scans. The graph and the
+// virtual-time numbers are identical for every pool size; only wall
+// time differs.
 //
-// Virtual-time attribution is pipelined in both paths (it is pure
-// arithmetic over the per-scanner sim times): transfers serialize on
-// the MDS ingress link, but each starts as soon as its scanner
-// finishes, not after the slowest scanner.
+// Virtual-time attribution is pipelined (it is pure arithmetic over the
+// per-scanner sim times): transfers serialize on the MDS ingress link,
+// but each starts as soon as its scanner finishes, not after the
+// slowest scanner.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -75,27 +72,16 @@ struct AggregationResult {
   /// the stage ends when both the slowest scanner and the last transfer
   /// are done. Always ≤ slowest-scan + sim_transfer_seconds.
   double sim_pipeline_seconds = 0.0;
-  /// Measured time for decode + merge + FID remap + CSR build. In the
-  /// streaming path, only the portion that could not be hidden behind
-  /// the scans (measured from the moment the last scanner finished).
+  /// Measured time from the moment the last scanner reported to the
+  /// merged graph: the decodes still running then, plus merge, FID
+  /// remap and CSR build. Decodes that finish earlier overlap the
+  /// scans and are not counted here.
   double wall_seconds = 0.0;
   std::uint64_t transferred_bytes = 0;
   /// What fraction of servers contributed, which FID spaces were lost
-  /// to failed scans (filled by the pipeline entry point, which knows
-  /// the cluster), and which individual inodes were quarantined.
+  /// to failed scans, and which individual inodes were quarantined.
   CoverageInfo coverage;
 };
-
-/// Aggregates a finished cluster scan into the unified graph. The pool,
-/// if given, decodes remote partials concurrently and parallelizes the
-/// merge; results are byte-identical to the serial path. Scans with
-/// status kFailed are excluded from the graph and the transfer
-/// accounting; coverage reflects the surviving fraction (lost FID
-/// sequences cannot be derived from scan results alone — use the
-/// pipeline entry point for that).
-[[nodiscard]] AggregationResult aggregate(std::span<const ScanResult> scans,
-                                          const NetModel& net = {},
-                                          ThreadPool* pool = nullptr);
 
 /// Everything the fault-tolerant pipeline can be asked to do beyond a
 /// plain scan: operational faults to inject, retry budget, whether a
@@ -113,7 +99,8 @@ struct PipelineConfig {
   /// PipelineError naming all failed servers.
   bool allow_degraded = true;
   /// Non-empty: load this checkpoint if present (resuming completed
-  /// scans), and save after completed scans. The write is atomic.
+  /// scans), and save after every newly completed scan. The write is
+  /// atomic.
   std::string checkpoint_path;
   /// Cluster-content fingerprint stamped into saved checkpoints (e.g.
   /// the changelog cursor at scan start). A checkpoint on disk whose
@@ -122,22 +109,18 @@ struct PipelineConfig {
   /// merge two points in time into one graph (phantom findings at every
   /// edge into the stale region). See ScanCheckpoint::epoch.
   std::uint64_t checkpoint_epoch = 0;
-  /// Save after every N newly completed scans (the final state is
-  /// always flushed).
-  std::size_t checkpoint_every = 1;
-  /// Test hook: after this many newly completed scans, flush the
-  /// checkpoint and throw PipelineInterrupted — a deterministic stand-in
-  /// for killing the aggregator mid-run.
+  /// Test hook: after this many newly completed scans (each already
+  /// saved to the checkpoint), throw PipelineInterrupted — a
+  /// deterministic stand-in for killing the aggregator mid-run.
   std::size_t interrupt_after_servers = std::numeric_limits<std::size_t>::max();
 };
 
-/// Streaming scan→aggregate pipeline (paper §IV-B overlap).
+/// What scan_and_aggregate returns (paper §IV-B overlap).
 struct PipelineResult {
   ClusterScan scan;
   AggregationResult agg;
-  /// Measured wall time of the whole overlapped stage (scans + decode +
-  /// merge); compare against scan.wall_seconds + agg.wall_seconds of
-  /// the barriered path to see the overlap win.
+  /// Measured wall time of the whole stage: scans, decodes and merge.
+  /// It is scan.wall_seconds + agg.wall_seconds.
   double wall_seconds = 0.0;
   /// Labels of servers whose scan failed (crash, deadline, or an
   /// unexpected error), in slot order. Empty on a full-coverage run.
@@ -151,28 +134,23 @@ struct PipelineResult {
   bool checkpoint_discarded = false;
 };
 
-/// Scans every server and aggregates, streaming each finished partial
-/// into the decoder through a bounded queue instead of barriering on
-/// the full cluster scan. Falls back to the sequential scan + batch
-/// aggregate when the pool is null or single-threaded; the graph and
-/// all virtual-time numbers are identical either way.
+/// Scans every server and aggregates. On a pool of more than one
+/// worker, each finished scan is handed to the caller as it completes
+/// and its partial is decoded on the worker while the remaining scans
+/// run; without one, each slot is scanned and decoded on the caller in
+/// slot order. The graph and all virtual-time numbers are identical
+/// either way. An unexpected exception in one server's scan makes that
+/// slot kFailed, like an operational fault (see ServerSlots::scan).
 ///
 /// Fault tolerance: a server crash or blown deadline never aborts the
 /// run in degraded mode — the survivors' partials form the unified
-/// graph and agg.coverage records exactly what was lost. With a
-/// checkpoint path, completed scans persist across interruptions, and
-/// a resumed run reproduces the uninterrupted run's ranks bit for bit
-/// (scanners, fault schedules and aggregation are all deterministic).
+/// graph and agg.coverage records exactly what was lost. In strict mode
+/// (allow_degraded = false) PipelineError is raised once every scan has
+/// finished, naming every failed server. With a checkpoint path,
+/// completed scans persist across interruptions, and a resumed run
+/// reproduces the uninterrupted run's ranks bit for bit (scanners,
+/// fault schedules and aggregation are all deterministic).
 [[nodiscard]] PipelineResult scan_and_aggregate(const LustreCluster& cluster,
                                                 const PipelineConfig& config);
-
-/// Strict legacy entry point: no faults, no checkpointing, and any
-/// failed scan raises PipelineError (after all scans have finished,
-/// naming every failed server — completed work is not discarded on the
-/// first failure).
-[[nodiscard]] PipelineResult scan_and_aggregate(
-    const LustreCluster& cluster, ThreadPool* pool = nullptr,
-    const DiskModel& mdt_disk = DiskModel::ssd(),
-    const DiskModel& ost_disk = DiskModel::hdd(), const NetModel& net = {});
 
 }  // namespace faultyrank

@@ -13,11 +13,11 @@ namespace {
 CheckerResult run_pass(LustreCluster& cluster, const CheckerConfig& config) {
   CheckerResult result;
 
-  // Streaming pipeline: scanners hand each finished partial straight to
-  // the decoder, and the merge itself runs on the pool. Graph and sim
-  // numbers are identical to the barriered serial path. Degraded mode:
-  // with a fault schedule, a crashed server shrinks coverage rather
-  // than aborting the check.
+  // Streaming pipeline: each finished scan is decoded while the other
+  // scans run. Interning is serial; the CSR and pairing passes of the
+  // merge use the pool. Graph and sim numbers are identical for every
+  // pool size. Degraded mode: with a fault schedule, a crashed server
+  // shrinks coverage rather than aborting the check.
   PipelineConfig pipeline_config;
   pipeline_config.pool = config.pool;
   pipeline_config.mdt_disk = config.mdt_disk;

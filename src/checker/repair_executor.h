@@ -18,12 +18,6 @@
 
 namespace faultyrank {
 
-struct RepairOutcome {
-  RepairAction action;
-  bool applied = false;
-  std::string detail;
-};
-
 class RepairExecutor {
  public:
   explicit RepairExecutor(LustreCluster& cluster) : cluster_(cluster) {}

@@ -1,18 +1,18 @@
 // A minimal bounded MPMC queue for pipeline handoff.
 //
-// The streaming scan→aggregate pipeline uses it to hand each finished
-// per-server ScanResult (by index) from the scanner tasks to the
-// aggregating consumer as soon as it completes, instead of barriering
-// on the whole cluster scan. The bound provides backpressure: scanners
-// stall rather than letting decode work pile up unboundedly ahead of
-// the consumer.
+// stream_each (thread_pool.h), which drives the cluster scan and the
+// scan→aggregate pipeline, uses it to hand each finished item (a
+// server slot index) from the worker tasks to the caller as soon as it
+// completes, instead of barriering on the whole cluster scan. The
+// bound provides backpressure: workers stall rather than letting
+// finished items pile up unboundedly ahead of the caller.
 //
 // close() ends the stream: blocked producers give up (push returns
 // false), and consumers drain the remaining items before pop() starts
-// returning nullopt. Pipelines with an exact item count (the
-// aggregator knows how many servers will report) never need it, but
-// open-ended producers — an online checker feeding changelog batches —
-// use close() as the shutdown signal instead of a poison value.
+// returning nullopt. stream_each knows how many items will arrive, so
+// it closes the queue only to stop early (the pipeline's interrupt
+// hook, or a stage that threw); open-ended producers use close() as
+// the shutdown signal instead of a poison value.
 #pragma once
 
 #include <cstddef>

@@ -1,10 +1,10 @@
 // Fixed-size thread pool with independent task groups.
 //
-// Used by the scanner driver (one task per simulated server), the
-// streaming aggregator, and the rank kernel (vertex-range
-// partitioning). Rank updates are pull-style, so workers write disjoint
-// output ranges and need no synchronization beyond the fork/join
-// barrier.
+// Used by the cluster scan and the streaming aggregator (one task per
+// simulated server, through stream_each), the graph build and the rank
+// kernel (vertex-range partitioning). Rank updates are pull-style, so
+// workers write disjoint output ranges and need no synchronization
+// beyond the fork/join barrier.
 //
 // Concurrency model: every task belongs to a TaskGroup, which carries
 // its own completion counter and captured-exception slot. Independent
@@ -205,5 +205,24 @@ class ThreadPool {
 void for_each_range(
     ThreadPool* pool, std::span<const std::size_t> boundaries,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+
+/// Streams items [0, n) through three stages: work(i), then ready(i) on
+/// the calling thread, then after(i). With a pool of more than one
+/// worker, work runs on the workers, ready sees the items in completion
+/// order while later items are still at work, and each after(i) is
+/// queued as its own task once work(i) is done, behind the work still
+/// waiting; the caller helps run those tasks once every item is ready.
+/// ready(i) and after(i) may run at the same time, so they may only
+/// read what work(i) wrote. Otherwise (no pool, or one worker, where
+/// the pool would only add a hand-off) each item runs all three stages
+/// on the caller, in index order. ready returning false stops the
+/// stream: items not yet at work are skipped, and the call returns
+/// false once the items in flight are done. An exception from any
+/// stage is rethrown on the caller once the items in flight are done.
+/// ready and after may be empty.
+bool stream_each(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t)>& work,
+                 const std::function<bool(std::size_t)>& ready = {},
+                 const std::function<void(std::size_t)>& after = {});
 
 }  // namespace faultyrank

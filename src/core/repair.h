@@ -66,4 +66,12 @@ struct RepairAction {
 
 using RepairPlan = std::vector<RepairAction>;
 
+/// What a repair executor (Lustre or BeeGFS) did with one action:
+/// whether it was applied, and what was written or why it was refused.
+struct RepairOutcome {
+  RepairAction action;
+  bool applied = false;
+  std::string detail;
+};
+
 }  // namespace faultyrank

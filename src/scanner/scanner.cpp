@@ -259,62 +259,69 @@ ScanResult scan_ost(const OstServer& ost, const DiskModel& disk,
   return result;
 }
 
+void ClusterScan::total() {
+  sim_seconds = 0.0;
+  inodes_scanned = 0;
+  for (const ScanResult& result : results) {
+    sim_seconds = std::max(sim_seconds, result.sim_seconds);
+    inodes_scanned += result.inodes_scanned;
+  }
+}
+
+ServerSlots::ServerSlots(const LustreCluster& cluster,
+                         const DiskModel& mdt_disk, const DiskModel& ost_disk,
+                         OpFaultSchedule* faults, const RetryPolicy& retry)
+    : cluster_(cluster),
+      mdt_disk_(mdt_disk),
+      ost_disk_(ost_disk),
+      retry_(retry) {
+  for (std::size_t m = 0; m < cluster.mdt_count(); ++m) {
+    labels_.push_back(cluster.mdt_server(m).image.label());
+  }
+  for (const OstServer& ost : cluster.osts()) {
+    labels_.push_back(ost.image.label());
+  }
+  schedules_.assign(labels_.size(), nullptr);
+  if (faults != nullptr) {
+    for (std::size_t i = 0; i < labels_.size(); ++i) {
+      schedules_[i] = &faults->server(labels_[i]);
+    }
+  }
+}
+
+std::uint64_t ServerSlots::fid_seq(std::size_t slot) const {
+  const std::size_t mdt_count = cluster_.mdt_count();
+  return slot < mdt_count ? cluster_.mdt_server(slot).fids.seq()
+                          : cluster_.osts()[slot - mdt_count].fids.seq();
+}
+
+ScanResult ServerSlots::scan(std::size_t slot) const {
+  const std::size_t mdt_count = cluster_.mdt_count();
+  try {
+    return slot < mdt_count
+               ? scan_mdt(cluster_.mdt_server(slot), mdt_disk_,
+                          schedules_[slot], retry_)
+               : scan_ost(cluster_.osts()[slot - mdt_count], ost_disk_,
+                          schedules_[slot], retry_);
+  } catch (const std::exception& error) {
+    ScanResult failed;
+    failed.graph.server = labels_[slot];
+    failed.status = ScanStatus::kFailed;
+    failed.error = error.what();
+    return failed;
+  }
+}
+
 ClusterScan scan_cluster(const LustreCluster& cluster, ThreadPool* pool,
                          const DiskModel& mdt_disk, const DiskModel& ost_disk,
                          OpFaultSchedule* op_faults, const RetryPolicy& retry) {
   WallTimer timer;
+  const ServerSlots slots(cluster, mdt_disk, ost_disk, op_faults, retry);
   ClusterScan scan;
-  const std::size_t mdt_count = cluster.mdt_count();
-  scan.results.resize(mdt_count + cluster.osts().size());
-
-  // Resolve every server's schedule up front, on this thread: the scan
-  // tasks then touch only their own ServerFaultSchedule, which is
-  // single-writer by construction.
-  std::vector<ServerFaultSchedule*> schedules(scan.results.size(), nullptr);
-  if (op_faults != nullptr) {
-    for (std::size_t m = 0; m < mdt_count; ++m) {
-      schedules[m] = &op_faults->server(cluster.mdt_server(m).image.label());
-    }
-    for (std::size_t i = 0; i < cluster.osts().size(); ++i) {
-      schedules[mdt_count + i] =
-          &op_faults->server(cluster.osts()[i].image.label());
-    }
-  }
-
-  if (pool != nullptr && pool->size() > 1) {
-    // Own task group: waiting here does not observe unrelated work
-    // other submitters may have in flight on a shared pool.
-    TaskGroup group(*pool);
-    for (std::size_t m = 0; m < mdt_count; ++m) {
-      group.submit([&, m] {
-        scan.results[m] =
-            scan_mdt(cluster.mdt_server(m), mdt_disk, schedules[m], retry);
-      });
-    }
-    for (std::size_t i = 0; i < cluster.osts().size(); ++i) {
-      group.submit([&, i, mdt_count] {
-        scan.results[mdt_count + i] = scan_ost(
-            cluster.osts()[i], ost_disk, schedules[mdt_count + i], retry);
-      });
-    }
-    group.wait();
-  } else {
-    for (std::size_t m = 0; m < mdt_count; ++m) {
-      scan.results[m] =
-          scan_mdt(cluster.mdt_server(m), mdt_disk, schedules[m], retry);
-    }
-    for (std::size_t i = 0; i < cluster.osts().size(); ++i) {
-      scan.results[mdt_count + i] =
-          scan_ost(cluster.osts()[i], ost_disk, schedules[mdt_count + i], retry);
-    }
-  }
-
-  for (const auto& result : scan.results) {
-    // Each server scans its own disks concurrently; the cluster-level
-    // virtual scan time is the slowest server.
-    scan.sim_seconds = std::max(scan.sim_seconds, result.sim_seconds);
-    scan.inodes_scanned += result.inodes_scanned;
-  }
+  scan.results.resize(slots.size());
+  stream_each(pool, slots.size(),
+              [&](std::size_t slot) { scan.results[slot] = slots.scan(slot); });
+  scan.total();
   scan.wall_seconds = timer.seconds();
   return scan;
 }

@@ -93,12 +93,51 @@ struct ClusterScan {
   double sim_seconds = 0.0;
   double wall_seconds = 0.0;
   std::uint64_t inodes_scanned = 0;
+
+  /// Sets sim_seconds and inodes_scanned from `results`.
+  void total();
 };
 
-/// Runs every per-server scanner, on `pool` if provided (one task per
-/// server, mirroring the paper's concurrent scanners). Never throws on
-/// operational faults: a crashed server is reported as a kFailed slot
-/// in `results`, and the surviving scans are kept.
+/// A cluster's servers as a table of scan slots, in ClusterScan::results
+/// order: each slot's label, fault schedule and scanner. scan_cluster
+/// and the aggregator's scan_and_aggregate both scan through it.
+class ServerSlots {
+ public:
+  /// Resolves every server's fault schedule here, on the constructing
+  /// thread, so that concurrent scan() calls each touch only their own
+  /// ServerFaultSchedule.
+  ServerSlots(const LustreCluster& cluster, const DiskModel& mdt_disk,
+              const DiskModel& ost_disk, OpFaultSchedule* faults,
+              const RetryPolicy& retry);
+
+  [[nodiscard]] std::size_t size() const noexcept { return labels_.size(); }
+  [[nodiscard]] const std::vector<std::string>& labels() const noexcept {
+    return labels_;
+  }
+  /// The FID sequence owned by the server in `slot`.
+  [[nodiscard]] std::uint64_t fid_seq(std::size_t slot) const;
+
+  /// Scans one slot; safe to call concurrently for distinct slots.
+  /// Operational faults come back as kFailed from the scanner itself,
+  /// and any other exception is caught and returned as a kFailed result
+  /// too, so one bad server cannot discard the others' completed scans.
+  [[nodiscard]] ScanResult scan(std::size_t slot) const;
+
+ private:
+  const LustreCluster& cluster_;
+  DiskModel mdt_disk_;
+  DiskModel ost_disk_;
+  RetryPolicy retry_;
+  std::vector<std::string> labels_;
+  std::vector<ServerFaultSchedule*> schedules_;
+};
+
+/// Runs every per-server scanner, on `pool` if it has more than one
+/// worker (one task per server, mirroring the paper's concurrent
+/// scanners). Never throws on a server's failure: an operational fault
+/// or any unexpected exception in one server's scan is reported as a
+/// kFailed slot in `results` (with the reason in `error`), and the
+/// surviving scans are kept.
 [[nodiscard]] ClusterScan scan_cluster(const LustreCluster& cluster,
                                        ThreadPool* pool = nullptr,
                                        const DiskModel& mdt_disk = DiskModel::ssd(),

@@ -9,12 +9,12 @@ namespace {
 
 TEST(AggregatorTest, MergesClusterScanIntoUnifiedGraph) {
   LustreCluster cluster = testing::make_populated_cluster(100, 11);
-  const ClusterScan scan = scan_cluster(cluster);
-  const AggregationResult agg = aggregate(scan.results);
+  const PipelineResult pipeline = scan_and_aggregate(cluster, {});
+  const AggregationResult& agg = pipeline.agg;
 
   std::uint64_t vertices = 0;
   std::uint64_t edges = 0;
-  for (const auto& result : scan.results) {
+  for (const auto& result : pipeline.scan.results) {
     vertices += result.graph.vertices.size();
     edges += result.graph.edges.size();
   }
@@ -25,11 +25,11 @@ TEST(AggregatorTest, MergesClusterScanIntoUnifiedGraph) {
 
 TEST(AggregatorTest, ChargesTransferOnlyForRemotePartialGraphs) {
   LustreCluster cluster = testing::make_populated_cluster(100, 12);
-  const ClusterScan scan = scan_cluster(cluster);
-  const AggregationResult agg = aggregate(scan.results);
+  const PipelineResult pipeline = scan_and_aggregate(cluster, {});
+  const AggregationResult& agg = pipeline.agg;
 
   std::uint64_t remote_bytes = 0;
-  for (const auto& result : scan.results) {
+  for (const auto& result : pipeline.scan.results) {
     if (!result.local_to_mds) remote_bytes += result.graph.wire_bytes();
   }
   EXPECT_EQ(agg.transferred_bytes, remote_bytes);
@@ -39,17 +39,17 @@ TEST(AggregatorTest, ChargesTransferOnlyForRemotePartialGraphs) {
 
 TEST(AggregatorTest, SlowerNetworkCostsMoreVirtualTime) {
   LustreCluster cluster = testing::make_populated_cluster(100, 13);
-  const ClusterScan scan = scan_cluster(cluster);
-  const NetModel fast{.latency_seconds = 1e-5, .bandwidth_bytes_per_s = 10e9};
-  const NetModel slow{.latency_seconds = 1e-3, .bandwidth_bytes_per_s = 100e6};
-  EXPECT_GT(aggregate(scan.results, slow).sim_transfer_seconds,
-            aggregate(scan.results, fast).sim_transfer_seconds);
+  PipelineConfig fast;
+  fast.net = {.latency_seconds = 1e-5, .bandwidth_bytes_per_s = 10e9};
+  PipelineConfig slow;
+  slow.net = {.latency_seconds = 1e-3, .bandwidth_bytes_per_s = 100e6};
+  EXPECT_GT(scan_and_aggregate(cluster, slow).agg.sim_transfer_seconds,
+            scan_and_aggregate(cluster, fast).agg.sim_transfer_seconds);
 }
 
 TEST(AggregatorTest, RemapAssignsDenseGids) {
   LustreCluster cluster = testing::make_populated_cluster(80, 14);
-  const ClusterScan scan = scan_cluster(cluster);
-  const AggregationResult agg = aggregate(scan.results);
+  const AggregationResult agg = scan_and_aggregate(cluster, {}).agg;
   // Dense: every gid < vertex_count maps back to a unique FID.
   for (Gid v = 0; v < agg.graph.vertex_count(); ++v) {
     EXPECT_EQ(agg.graph.vertices().lookup(agg.graph.vertices().fid_of(v)), v);
@@ -67,12 +67,6 @@ TEST(AggregatorTest, WireRoundTripPreservesGraphExactly) {
     EXPECT_EQ(decoded.vertices.size(), result.graph.vertices.size());
     EXPECT_EQ(decoded.edges.size(), result.graph.edges.size());
   }
-}
-
-TEST(AggregatorTest, EmptyScanYieldsEmptyGraph) {
-  const AggregationResult agg = aggregate({});
-  EXPECT_EQ(agg.graph.vertex_count(), 0u);
-  EXPECT_EQ(agg.transferred_bytes, 0u);
 }
 
 }  // namespace

@@ -271,19 +271,16 @@ TEST(ParallelAggregateTest, FinalizeGoldenDigestHoldsForEveryPoolSize) {
 
 TEST(ParallelAggregateTest, GoldenClusterDigestHoldsForEveryPoolSize) {
   const LustreCluster cluster = make_golden_cluster();
-  const ClusterScan scan = scan_cluster(cluster);
   for (const std::optional<std::size_t> threads :
        {std::optional<std::size_t>(), std::optional<std::size_t>(1),
         std::optional<std::size_t>(4), std::optional<std::size_t>(8)}) {
     std::optional<ThreadPool> pool;
     if (threads) pool.emplace(*threads);
-    ThreadPool* borrowed = pool ? &*pool : nullptr;
-    const AggregationResult batch = aggregate(scan.results, {}, borrowed);
-    EXPECT_EQ(GraphDigest(batch.graph).value(), kGoldenClusterDigest)
-        << "batch, pool " << (threads ? *threads : 0);
-    const PipelineResult streamed = scan_and_aggregate(cluster, borrowed);
-    EXPECT_EQ(GraphDigest(streamed.agg.graph).value(), kGoldenClusterDigest)
-        << "streamed, pool " << (threads ? *threads : 0);
+    PipelineConfig config;
+    config.pool = pool ? &*pool : nullptr;
+    const PipelineResult pipeline = scan_and_aggregate(cluster, config);
+    EXPECT_EQ(GraphDigest(pipeline.agg.graph).value(), kGoldenClusterDigest)
+        << "pool " << (threads ? *threads : 0);
   }
 }
 
@@ -297,51 +294,68 @@ TEST(ParallelAggregateTest, AdversarialPartialsMatchSerial) {
   }
 }
 
+/// Runs the pipeline with pools of 1, 4 and 8 workers and asserts each
+/// run equals the run without a pool: graph, wire bytes, virtual times
+/// and scan totals. Returns the run without a pool.
+PipelineResult expect_every_pool_matches_serial(const LustreCluster& cluster) {
+  PipelineResult serial = scan_and_aggregate(cluster, {});
+  for (const std::size_t threads : {1u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    PipelineConfig config;
+    config.pool = &pool;
+    const PipelineResult pooled = scan_and_aggregate(cluster, config);
+    expect_identical(serial.agg.graph, pooled.agg.graph);
+    EXPECT_EQ(serial.agg.transferred_bytes, pooled.agg.transferred_bytes);
+    EXPECT_DOUBLE_EQ(serial.agg.sim_transfer_seconds,
+                     pooled.agg.sim_transfer_seconds);
+    EXPECT_DOUBLE_EQ(serial.agg.sim_pipeline_seconds,
+                     pooled.agg.sim_pipeline_seconds);
+    EXPECT_DOUBLE_EQ(serial.scan.sim_seconds, pooled.scan.sim_seconds);
+    EXPECT_EQ(serial.scan.inodes_scanned, pooled.scan.inodes_scanned);
+  }
+  return serial;
+}
+
 TEST(ParallelAggregateTest, ClusterScanAggregateMatchesSerial) {
   LustreCluster cluster = testing::make_populated_cluster(200, 91);
   FaultInjector injector(cluster, 92);
   injector.inject_campaign(5);  // unpaired edges + phantoms in the graph
-  const ClusterScan scan = scan_cluster(cluster);
-
-  const AggregationResult serial = aggregate(scan.results);
-  ThreadPool pool(4);
-  const AggregationResult parallel = aggregate(scan.results, {}, &pool);
-  expect_identical(serial.graph, parallel.graph);
-  EXPECT_EQ(serial.transferred_bytes, parallel.transferred_bytes);
-  EXPECT_DOUBLE_EQ(serial.sim_transfer_seconds, parallel.sim_transfer_seconds);
-  EXPECT_DOUBLE_EQ(serial.sim_pipeline_seconds, parallel.sim_pipeline_seconds);
+  (void)expect_every_pool_matches_serial(cluster);
 }
 
 TEST(ParallelAggregateTest, StreamingPipelineMatchesBatchPath) {
   LustreCluster cluster = testing::make_populated_cluster(150, 93);
   FaultInjector injector(cluster, 94);
   injector.inject_campaign(3);
+  const PipelineResult streamed = expect_every_pool_matches_serial(cluster);
 
-  const ClusterScan scan = scan_cluster(cluster);
-  const AggregationResult batch = aggregate(scan.results);
-
+  // scan_cluster scans through the same slots as the pipeline.
   ThreadPool pool(4);
-  const PipelineResult streamed = scan_and_aggregate(cluster, &pool);
-
-  expect_identical(batch.graph, streamed.agg.graph);
-  EXPECT_EQ(batch.transferred_bytes, streamed.agg.transferred_bytes);
-  EXPECT_DOUBLE_EQ(batch.sim_transfer_seconds,
-                   streamed.agg.sim_transfer_seconds);
-  EXPECT_DOUBLE_EQ(batch.sim_pipeline_seconds,
-                   streamed.agg.sim_pipeline_seconds);
+  const ClusterScan scan = scan_cluster(cluster, &pool);
+  ASSERT_EQ(scan.results.size(), streamed.scan.results.size());
+  for (std::size_t i = 0; i < scan.results.size(); ++i) {
+    EXPECT_EQ(scan.results[i].status, streamed.scan.results[i].status) << i;
+    EXPECT_EQ(scan.results[i].inodes_scanned,
+              streamed.scan.results[i].inodes_scanned)
+        << i;
+    EXPECT_DOUBLE_EQ(scan.results[i].sim_seconds,
+                     streamed.scan.results[i].sim_seconds)
+        << i;
+  }
   EXPECT_DOUBLE_EQ(scan.sim_seconds, streamed.scan.sim_seconds);
   EXPECT_EQ(scan.inodes_scanned, streamed.scan.inodes_scanned);
 }
 
 TEST(ParallelAggregateTest, PipelinedSimTimeOverlapsTransfers) {
   LustreCluster cluster = testing::make_populated_cluster(150, 95);
-  const ClusterScan scan = scan_cluster(cluster);
-  const AggregationResult agg = aggregate(scan.results);
+  const PipelineResult pipeline = scan_and_aggregate(cluster, {});
+  const AggregationResult& agg = pipeline.agg;
   // Overlapped finish time is bounded by the barriered accounting and
   // can never beat the slowest scanner alone.
   EXPECT_LE(agg.sim_pipeline_seconds,
-            scan.sim_seconds + agg.sim_transfer_seconds);
-  EXPECT_GE(agg.sim_pipeline_seconds, scan.sim_seconds);
+            pipeline.scan.sim_seconds + agg.sim_transfer_seconds);
+  EXPECT_GE(agg.sim_pipeline_seconds, pipeline.scan.sim_seconds);
   EXPECT_GT(agg.sim_transfer_seconds, 0.0);
 }
 

@@ -1,13 +1,16 @@
 // Torture tests for the task-group thread pool: throwing tasks, nested
-// parallel_for, independent groups on a shared pool, and
-// submit-after-shutdown. Run under TSan via the `tsan` preset
-// (`ctest --preset tsan`, label `concurrency`).
+// parallel_for, independent groups on a shared pool,
+// submit-after-shutdown, and stream_each's early stop and exceptions.
+// Run under TSan via the `tsan` preset (`ctest --preset tsan`, label
+// `concurrency`).
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -208,6 +211,78 @@ TEST(TaskGroupTest, DestructorDrainsWithoutWait) {
   }
   EXPECT_EQ(counter.load(), 50);
   pool.wait_idle();
+}
+
+TEST(StreamEachTest, EveryStageSeesEveryItemOnAnyPool) {
+  for (const std::size_t threads : {0u, 1u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::optional<ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    constexpr std::size_t kItems = 64;
+    std::vector<int> worked(kItems, 0);
+    std::vector<int> finished(kItems, 0);
+    std::vector<std::size_t> ready_order;
+    const bool completed = stream_each(
+        pool ? &*pool : nullptr, kItems,
+        [&](std::size_t i) { worked[i] = 1; },
+        [&](std::size_t i) {
+          EXPECT_EQ(worked[i], 1);
+          ready_order.push_back(i);
+          return true;
+        },
+        [&](std::size_t i) { finished[i] = worked[i] + 1; });
+    EXPECT_TRUE(completed);
+    EXPECT_EQ(finished, std::vector<int>(kItems, 2));
+    std::sort(ready_order.begin(), ready_order.end());
+    for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(ready_order[i], i);
+  }
+}
+
+TEST(StreamEachTest, ReadyReturningFalseStopsWhileWorkIsInFlight) {
+  for (const std::size_t threads : {0u, 1u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::optional<ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    std::atomic<std::size_t> worked{0};
+    std::size_t readied = 0;
+    const bool completed = stream_each(
+        pool ? &*pool : nullptr, 200,
+        [&](std::size_t) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          worked.fetch_add(1);
+        },
+        [&](std::size_t) { return ++readied < 3; });
+    EXPECT_FALSE(completed);
+    EXPECT_EQ(readied, 3u);
+    // Items not yet at work when the stream stopped were skipped.
+    EXPECT_LT(worked.load(), 200u);
+  }
+}
+
+TEST(StreamEachTest, ThrowingStagesAreRethrownWithoutHanging) {
+  for (const std::size_t threads : {0u, 1u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::optional<ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    ThreadPool* borrowed = pool ? &*pool : nullptr;
+    const auto noop = [](std::size_t) {};
+    EXPECT_THROW(stream_each(borrowed, 50,
+                             [](std::size_t i) {
+                               if (i == 7) throw std::runtime_error("work");
+                             }),
+                 std::runtime_error);
+    EXPECT_THROW(stream_each(borrowed, 50, noop,
+                             [](std::size_t i) -> bool {
+                               if (i == 7) throw std::runtime_error("ready");
+                               return true;
+                             }),
+                 std::runtime_error);
+    EXPECT_THROW(stream_each(borrowed, 50, noop, {},
+                             [](std::size_t i) {
+                               if (i == 7) throw std::runtime_error("after");
+                             }),
+                 std::runtime_error);
+  }
 }
 
 }  // namespace

@@ -68,9 +68,7 @@ void random_corruptions(LustreCluster& cluster, Rng& rng, int count) {
 }
 
 std::size_t unpaired_count(const LustreCluster& cluster) {
-  return aggregate(scan_cluster(cluster).results)
-      .graph.unpaired_edges()
-      .size();
+  return scan_and_aggregate(cluster, {}).agg.graph.unpaired_edges().size();
 }
 
 class FuzzCampaignTest : public ::testing::TestWithParam<std::uint64_t> {};

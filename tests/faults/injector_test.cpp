@@ -10,8 +10,7 @@ namespace faultyrank {
 namespace {
 
 UnifiedGraph scan_to_graph(const LustreCluster& cluster) {
-  const ClusterScan scan = scan_cluster(cluster);
-  return aggregate(scan.results).graph;
+  return scan_and_aggregate(cluster, {}).agg.graph;
 }
 
 TEST(InjectorTest, DanglingSourcePropertyCorruptsEverySlot) {

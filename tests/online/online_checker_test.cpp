@@ -146,7 +146,7 @@ TEST(OnlineCheckerTest, BootstrapMatchesOfflineScan) {
   checker.bootstrap();
   const UnifiedGraph online = checker.graph().freeze();
 
-  const AggregationResult offline = aggregate(scan_cluster(cluster).results);
+  const AggregationResult offline = scan_and_aggregate(cluster, {}).agg;
   EXPECT_EQ(online.vertex_count(), offline.graph.vertex_count());
   EXPECT_EQ(online.edge_count(), offline.graph.edge_count());
   EXPECT_EQ(online.unpaired_edges().size(),
@@ -168,7 +168,7 @@ TEST(OnlineCheckerTest, CatchUpTracksNamespaceChurn) {
 
   // The online graph must agree with a fresh offline scan, healthily.
   const UnifiedGraph snapshot = checker.graph().freeze();
-  const AggregationResult offline = aggregate(scan_cluster(cluster).results);
+  const AggregationResult offline = scan_and_aggregate(cluster, {}).agg;
   EXPECT_EQ(snapshot.vertex_count(), offline.graph.vertex_count());
   EXPECT_EQ(snapshot.edge_count(), offline.graph.edge_count());
   EXPECT_TRUE(snapshot.unpaired_edges().empty());
@@ -491,7 +491,7 @@ TEST(OnlineCheckerTest, DuplicateIdDetectionMatchesOffline) {
   OnlineChecker checker(cluster);
   checker.bootstrap();
   const UnifiedGraph online = checker.graph().freeze();
-  const AggregationResult offline = aggregate(scan_cluster(cluster).results);
+  const AggregationResult offline = scan_and_aggregate(cluster, {}).agg;
   EXPECT_EQ(online.vertex_count(), offline.graph.vertex_count());
   EXPECT_EQ(online.edge_count(), offline.graph.edge_count());
   const Gid dup = online.vertices().lookup(truth.current);

@@ -37,8 +37,8 @@ TEST(PersistenceTest, LoadedClusterScansToIdenticalGraph) {
   save_cluster(original, path);
   LustreCluster loaded = load_cluster(path);
 
-  const AggregationResult a = aggregate(scan_cluster(original).results);
-  const AggregationResult b = aggregate(scan_cluster(loaded).results);
+  const AggregationResult a = scan_and_aggregate(original, {}).agg;
+  const AggregationResult b = scan_and_aggregate(loaded, {}).agg;
   ASSERT_EQ(a.graph.vertex_count(), b.graph.vertex_count());
   ASSERT_EQ(a.graph.edge_count(), b.graph.edge_count());
   for (Gid v = 0; v < a.graph.vertex_count(); ++v) {
@@ -57,7 +57,7 @@ TEST(PersistenceTest, SnapshotPreservesCorruption) {
   // The offline checker workflow: load the unmounted image, check it.
   LustreCluster loaded = load_cluster(path);
   EXPECT_FALSE(verify_restored(loaded, truth));
-  const AggregationResult agg = aggregate(scan_cluster(loaded).results);
+  const AggregationResult agg = scan_and_aggregate(loaded, {}).agg;
   EXPECT_FALSE(agg.graph.unpaired_edges().empty());
   std::remove(path.c_str());
 }
@@ -72,7 +72,7 @@ TEST(PersistenceTest, LoadedClusterRemainsFullyOperational) {
   const Fid dir = loaded.mkdir(loaded.root(), "post_load");
   const Fid file = loaded.create_file(dir, "new.dat", 100 * 1024);
   EXPECT_EQ(loaded.resolve("/post_load/new.dat"), file);
-  const AggregationResult agg = aggregate(scan_cluster(loaded).results);
+  const AggregationResult agg = scan_and_aggregate(loaded, {}).agg;
   EXPECT_TRUE(agg.graph.unpaired_edges().empty());
   std::remove(path.c_str());
 }

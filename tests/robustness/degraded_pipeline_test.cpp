@@ -98,7 +98,9 @@ TEST(DegradedPipelineTest, QuarantinedInodesFlowIntoCoverage) {
 
 TEST(DegradedPipelineTest, LegacyEntryPointStaysStrictAndFaultFree) {
   const LustreCluster cluster = testing::make_populated_cluster(150, 34, 4);
-  const PipelineResult result = scan_and_aggregate(cluster);
+  PipelineConfig strict;
+  strict.allow_degraded = false;
+  const PipelineResult result = scan_and_aggregate(cluster, strict);
   EXPECT_TRUE(result.failed_servers.empty());
   EXPECT_EQ(result.agg.coverage.coverage, 1.0);
   EXPECT_EQ(result.servers_resumed, 0u);

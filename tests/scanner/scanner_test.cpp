@@ -59,8 +59,7 @@ TEST(ScannerTest, OstScanExtractsObjectPointbacks) {
 
 TEST(ScannerTest, HealthyClusterScansToFullyPairedGraph) {
   LustreCluster cluster = testing::make_populated_cluster(150, 3);
-  const ClusterScan scan = scan_cluster(cluster);
-  const AggregationResult agg = aggregate(scan.results);
+  const AggregationResult agg = scan_and_aggregate(cluster, {}).agg;
   EXPECT_TRUE(agg.graph.unpaired_edges().empty());
   // Every scanned vertex is real (no phantoms in a healthy FS).
   for (Gid v = 0; v < agg.graph.vertex_count(); ++v) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-command correctness gate (DESIGN.md §8): default build + full
 # ctest, the TSan concurrency suite, the ASan+UBSan full suite, the
-# fr_lint/fr_analyze static passes + runtime lock-order detection
+# fr_analyze static passes + runtime lock-order detection
 # (DESIGN.md §11), and the operational-fault robustness gate
 # (DESIGN.md §10). CI and pre-merge both run exactly this.
 #
@@ -17,8 +17,8 @@ run() {
   "$@"
 }
 
-# 1. Default build, full test suite (includes the `static` fr_lint
-#    tests: self-test fixtures + zero violations over src/ and bench/).
+# 1. Default build, full test suite (includes the `static` fr_analyze
+#    tests: fixture self-test, baseline-diff tree gate, coverage).
 run cmake --preset default
 run cmake --build --preset default -j "${JOBS}"
 run ctest --preset default -j "${JOBS}" --output-on-failure
@@ -35,10 +35,12 @@ run cmake --preset ubsan
 run cmake --build --preset ubsan -j "${JOBS}"
 run ctest --preset ubsan -j "${JOBS}"
 
-# 4. Static analysis: fr_lint house rules, then the fr_analyze
-#    cross-file passes (direct + call-chain-induced lock-order cycles,
-#    sim-time discipline, determinism of parallel reductions and
-#    unordered-iteration taint, blocking-under-lock, FR_GUARDED_BY
+# 4. Static analysis: fr_analyze, the one analyzer — per-file house
+#    rules (mutex-needs-guards, no-raw-thread, no-c-random,
+#    no-iostream-in-lib, no-unbounded-retry, crash-point-required)
+#    and the cross-file passes (direct + call-chain-induced lock-order
+#    cycles, sim-time discipline, determinism of parallel reductions
+#    and unordered-iteration taint, blocking-under-lock, FR_GUARDED_BY
 #    coverage, serdes writer/reader symmetry, unchecked wire counts,
 #    wire-schema drift against the committed fingerprints) — self-test
 #    first so the fixture proofs gate before the tree run. The tree run
@@ -47,7 +49,6 @@ run ctest --preset ubsan -j "${JOBS}"
 #    baseline, and a stats snapshot of the analyzer itself into
 #    build/BENCH_analysis.json. Explicit invocations for a readable
 #    tail even though the default suite already gates on all of it.
-run ./build/tools/fr_lint src bench
 run ./build/tools/fr_analyze --self-test tools/fr_analyze_fixtures
 run ./build/tools/fr_analyze \
   --baseline tools/analysis/findings_baseline.json \

@@ -1,14 +1,12 @@
 // Cache-line-aligned, *uninitialized* heap storage for large numeric
 // arrays (the PropagationPlan coefficient streams).
 //
-// std::vector cannot serve NUMA first-touch placement: resize() writes
-// every element on the allocating thread, so the OS binds all pages to
-// that thread's node before any worker sees them. This buffer
-// allocates without touching the pages; the first write wins, which
-// lets ThreadPool::parallel_for_ranges(..., sticky) initialize each
-// range on the worker that will sweep it every iteration
-// (DESIGN.md §14). The 64-byte alignment starts each array at the
-// beginning of a cache line.
+// std::vector<double>(n) zero-fills every element on the allocating
+// thread before the plan's parallel fill overwrites them all; this
+// buffer allocates without writing, so the fill is the only pass over
+// the memory. On a traced RMAT-20 rmat_solve run that is the
+// difference between 0.09 s and 0.16 s of plan build. The 64-byte
+// alignment starts each array at the beginning of a cache line.
 //
 // Elements are intentionally restricted to trivial types: nothing is
 // constructed or destroyed, and reading an element before writing it

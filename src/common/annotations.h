@@ -5,7 +5,7 @@
 // libstdc++'s std::mutex is not declared as a capability, so the
 // annotated wrappers in common/mutex.h are what these macros attach
 // to; FR_GUARDED_BY on a field naming a raw std::mutex would be
-// rejected by Clang. House rule (enforced by tools/fr_lint): every
+// rejected by Clang. House rule (fr_analyze's mutex-needs-guards): every
 // mutex member must guard at least one FR_GUARDED_BY-annotated field
 // in the same file, so the analysis actually has something to check.
 //

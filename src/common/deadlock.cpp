@@ -23,7 +23,7 @@ thread_local std::vector<HeldEntry> t_held;
 
 // The registry deliberately uses the raw std primitive: instrumented
 // Mutex would recurse straight back into on_lock.
-std::mutex g_mu;  // fr_lint: allow(mutex-needs-guards)
+std::mutex g_mu;  // fr_analyze: allow(mutex-needs-guards)
 std::map<const void*, std::set<const void*>> g_edges;
 std::map<const void*, std::string> g_names;
 std::size_t g_edge_count = 0;

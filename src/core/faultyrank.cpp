@@ -154,8 +154,8 @@ double mean_rank_of(const std::vector<double>& id_rank) {
 
 // ---------------------------------------------------------------------
 // Plan kernel: branch-free coefficient gathers through the canonical
-// lane tree, reductions fused into the sweeps, edge-balanced sticky
-// chunk scheduling.
+// lane tree, reductions fused into the sweeps, edge-balanced chunk
+// scheduling.
 // ---------------------------------------------------------------------
 
 FaultyRankResult run_planned(const UnifiedGraph& graph,
@@ -185,9 +185,6 @@ FaultyRankResult run_planned(const UnifiedGraph& graph,
   // Chunk boundaries carry ~equal *edge* counts (binary search over the
   // CSR offsets), aligned so no reduction block spans two chunks. Each
   // pass gets its own partition: the two CSRs have different skew.
-  // Sticky submission pins chunk c to worker c every sweep of every
-  // iteration, so each worker re-touches the same rank/coefficient
-  // pages it first-touched at plan build — the NUMA placement story.
   std::vector<std::size_t> rev_bounds, fwd_bounds;
   if (parallel) {
     rev_bounds = partition_by_weight(reverse.offsets(), pool->size(),
@@ -203,7 +200,7 @@ FaultyRankResult run_planned(const UnifiedGraph& graph,
           body(0, n, 0);
           return;
         }
-        pool->parallel_for_ranges(bounds, body, /*sticky=*/true);
+        pool->parallel_for_ranges(bounds, body);
       };
 
   // Blockwise sum of values[v] over an ascending sink list — the same

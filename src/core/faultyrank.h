@@ -33,7 +33,7 @@
 //                              division-free gathers), sink-share and
 //                              diff reductions fused into the gather
 //                              sweeps (two full sweeps per iteration,
-//                              not five), edge-balanced sticky chunk
+//                              not five), edge-balanced chunk
 //                              scheduling.
 //   run_faultyrank_reference — the naive unfused kernel, kept as the
 //                              golden oracle and benchmark baseline; it

@@ -26,9 +26,7 @@ void for_range(ThreadPool* pool, std::uint64_t n, const Body& body) {
 /// Fills a slot-aligned coefficient array with value(slot).
 /// The parallel path partitions vertices by edge weight aligned to
 /// kRankReductionBlock — the exact partition the rank kernel derives
-/// for its sweeps at equal pool size — and pins chunk c to worker c
-/// (sticky), so first-touch places each coefficient page on the worker
-/// that will gather from it every iteration.
+/// for its sweeps at equal pool size.
 template <typename PerSlot>
 AlignedBuffer<double> fill_coefficients(ThreadPool* pool, const Csr& csr,
                                         const PerSlot& value) {
@@ -50,7 +48,7 @@ AlignedBuffer<double> fill_coefficients(ThreadPool* pool, const Csr& csr,
   }
   const auto bounds =
       partition_by_weight(csr.offsets(), pool->size(), kRankReductionBlock);
-  pool->parallel_for_ranges(bounds, body, /*sticky=*/true);
+  pool->parallel_for_ranges(bounds, body);
   return out;
 }
 

@@ -23,11 +23,10 @@
 // of predicate-sweeping every vertex, and the rank kernel can fuse them
 // into its gather chunks.
 //
-// Coefficient arrays live in 64-byte-aligned, first-touch-friendly
-// AlignedBuffers: with a pool, each edge-balanced chunk is filled by
-// the worker that parallel_for_ranges(sticky) will later hand that same
-// chunk to every sweep, so on NUMA machines the pages land on the node
-// that reads them.
+// Coefficient arrays live in 64-byte-aligned, uninitialised
+// AlignedBuffers, filled once over the same edge-balanced partition the
+// rank kernel sweeps (on the pool when there is one), with no
+// zero-fill pass before it.
 //
 // The plan borrows the graph: the UnifiedGraph must outlive it and stay
 // at the same address (run_faultyrank verifies identity via matches()).

@@ -68,7 +68,7 @@ struct CrashReplica {
   std::unique_ptr<ChangeLog> log;
   std::uint64_t pre_op_cursor = 0;  ///< log next_index before the op
   std::size_t crash_index = 0;
-  std::string point;                ///< "op/point" reached, if crashed
+  std::string point{};              ///< "op/point" reached, if crashed
   bool crashed = false;             ///< false: the op ran to completion
 };
 

@@ -17,8 +17,8 @@
 // Thread discipline (DESIGN.md §8): deliberately unsynchronized. A
 // table is filled by the one thread that builds its graph; after the
 // build it is read-only and may be shared freely. A mutex here would
-// serialize the intern hot path for no correctness gain, so fr_lint's
-// mutex-needs-guards rule has nothing to see — exclusive ownership, not
+// serialize the intern hot path for no correctness gain, so
+// fr_analyze's mutex-needs-guards rule has nothing to see — exclusive ownership, not
 // locking, is the protocol.
 #pragma once
 

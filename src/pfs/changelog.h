@@ -55,8 +55,8 @@ struct ChangeRecord {
   bool removes_object = true;
   /// kRename only: the directory and name the entry moved away from
   /// (`parent`/`name` describe the destination).
-  Fid src_parent;
-  std::string src_name;
+  Fid src_parent{};
+  std::string src_name{};
 };
 
 /// Append-only operation log with cursor-based consumption.

@@ -43,20 +43,18 @@ TEST(AlignedBufferTest, EmptyAndMove) {
   EXPECT_EQ(c.size(), 64u);
 }
 
-TEST(AlignedBufferTest, FirstTouchFillViaStickyRanges) {
-  // The intended usage pattern: allocate untouched, fill each range on
-  // the worker that owns it, read back everywhere.
+TEST(AlignedBufferTest, FillViaRanges) {
+  // The plan's usage pattern: allocate uninitialised, fill each range
+  // on the pool, read back everywhere.
   ThreadPool pool(3);
   AlignedBuffer<double> buf(3000);
   const std::vector<std::size_t> bounds = {0, 1000, 2000, 3000};
   pool.parallel_for_ranges(
-      bounds,
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+      bounds, [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         for (std::size_t i = begin; i < end; ++i) {
           buf[i] = static_cast<double>(chunk);
         }
-      },
-      /*sticky=*/true);
+      });
   EXPECT_EQ(buf[0], 0.0);
   EXPECT_EQ(buf[1500], 1.0);
   EXPECT_EQ(buf[2999], 2.0);

@@ -50,7 +50,7 @@ class HookCapture {
   }
 
  private:
-  std::mutex mu_;  // fr_lint: allow(mutex-needs-guards)
+  std::mutex mu_;  // fr_analyze: allow(mutex-needs-guards)
   std::vector<deadlock::CycleReport> reports_;
   std::function<void(const deadlock::CycleReport&)> previous_;
 };

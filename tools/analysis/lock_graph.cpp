@@ -33,33 +33,20 @@ void LockWalker::advance(std::size_t k, std::vector<LockEdge>* edges) {
     // Trailing identifier of the constructor argument names the lock
     // (qualified forms like pool_.mutex_ or fx::g_a resolve through
     // the symbol table).
-    int depth = 0;
-    std::string last_ident;
-    std::string expr;
-    for (std::size_t m = k + 2; m < toks.size(); ++m) {
-      if (is_punct(toks[m], "(")) {
-        ++depth;
-        if (depth == 1) continue;
-      }
-      if (is_punct(toks[m], ")")) {
-        --depth;
-        if (depth == 0) break;
-      }
-      if (toks[m].kind == TokKind::kIdent) last_ident = toks[m].text;
-      expr += toks[m].text;
-    }
-    if (!last_ident.empty()) {
-      std::string id = symbols_.resolve(last_ident, file_.path,
-                                        scopes_.class_path(), includes_);
+    const LockRef ref = lock_ref_at(toks, k + 2);
+    if (!ref.name.empty()) {
+      std::string id = symbols_.resolve(ref.name, file_.path,
+                                        scopes_.class_path(), includes_,
+                                        ref.object);
       if (id.empty()) {
         // Unresolvable: a file-local identity keeps the acquisition
         // tracked without merging unrelated locks across files.
-        id = file_.path + "::<" + expr + ">";
+        id = file_.path + "::<" + ref.expr + ">";
       }
       if (edges != nullptr) {
         for (const ActiveLock& held : active_) {
           if (!held.held || held.id == id) continue;
-          edges->push_back({held.id, id, file_.path, held.line, t.line});
+          edges->push_back({held.id, id, file_.path, held.line, t.line, ""});
         }
       }
       active_.push_back(

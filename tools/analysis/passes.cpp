@@ -1,6 +1,7 @@
 #include "analysis/passes.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <iterator>
 #include <map>
@@ -657,6 +658,379 @@ std::vector<Violation> run_schema_drift_pass(const WireModel& wire,
   return out;
 }
 
+// ---------------------------------------------------------------------
+// Per-file house rules: mutex-needs-guards, no-raw-thread, no-c-random,
+// no-iostream-in-lib, no-unbounded-retry, crash-point-required
+// ---------------------------------------------------------------------
+
+namespace {
+
+bool is_ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+std::size_t skip_space(const std::string& line, std::size_t i) {
+  while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) {
+    ++i;
+  }
+  return i;
+}
+
+std::string squeeze(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    if (!std::isspace(static_cast<unsigned char>(c))) out += c;
+  }
+  return out;
+}
+
+std::string to_lower(std::string text) {
+  for (char& c : text) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return text;
+}
+
+bool mentions_any(const std::string& lowered,
+                  const std::vector<std::string>& tokens) {
+  for (const std::string& token : tokens) {
+    if (lowered.find(token) != std::string::npos) return true;
+  }
+  return false;
+}
+
+/// These rules name nothing finer than the message (which never embeds
+/// a line number), so rule|file|message is their line-insensitive
+/// fingerprint.
+void report(std::vector<Violation>& out, const SourceFile& file,
+            std::size_t line, const std::string& rule, std::string message) {
+  std::string fingerprint = rule + "|" + file.path + "|" + message;
+  out.push_back(
+      {file.path, line, rule, std::move(message), std::move(fingerprint)});
+}
+
+/// Matches a mutex declaration on a scrubbed line and returns the
+/// declared name, or "" when the line declares none. Accepts
+/// `[mutable|static] <mutex-type> name;` and the brace-initialized
+/// `<mutex-type> name{...};` (the deadlock-detect label form) —
+/// parameter lists and constructor calls (which contain '(') don't
+/// count as declarations.
+std::string mutex_decl_name(const std::string& line) {
+  static const std::vector<std::string> kMutexTypes = {
+      "std::mutex", "std::shared_mutex", "faultyrank::Mutex",
+      "faultyrank::SharedMutex", "Mutex", "SharedMutex"};
+  for (const std::string& type : kMutexTypes) {
+    for (std::size_t pos = line.find(type); pos != std::string::npos;
+         pos = line.find(type, pos + 1)) {
+      const std::size_t end = pos + type.size();
+      const bool left_ok =
+          pos == 0 || (!is_ident_char(line[pos - 1]) && line[pos - 1] != ':');
+      if (!left_ok || end >= line.size() || is_ident_char(line[end]) ||
+          line[end] == ':') {
+        continue;
+      }
+      std::size_t i = skip_space(line, end);
+      std::string name;
+      while (i < line.size() && is_ident_char(line[i])) name += line[i++];
+      i = skip_space(line, i);
+      if (!name.empty() && i < line.size() && line[i] == '{') {
+        for (int depth = 0; i < line.size(); ++i) {
+          if (line[i] == '{') ++depth;
+          if (line[i] == '}' && --depth == 0) {
+            ++i;
+            break;
+          }
+        }
+        i = skip_space(line, i);
+      }
+      if (!name.empty() && i < line.size() && line[i] == ';') return name;
+    }
+  }
+  return "";
+}
+
+/// True when the file contains an FR_* annotation whose argument names
+/// `mutex_name` (possibly qualified, e.g. FR_GUARDED_BY(pool_.mutex_)).
+bool has_annotation_for(const SourceFile& file, const std::string& mutex_name) {
+  static const std::vector<std::string> kAnnotations = {
+      "FR_GUARDED_BY(", "FR_PT_GUARDED_BY(", "FR_REQUIRES(",
+      "FR_REQUIRES_SHARED(", "FR_ACQUIRE(", "FR_RELEASE(", "FR_EXCLUDES("};
+  for (const std::string& line : file.scrubbed) {
+    for (const std::string& ann : kAnnotations) {
+      for (std::size_t pos = line.find(ann); pos != std::string::npos;
+           pos = line.find(ann, pos + 1)) {
+        const std::size_t open = pos + ann.size();
+        const std::size_t close = line.find(')', open);
+        if (close == std::string::npos) continue;
+        // The trailing identifier of the argument must be the mutex.
+        std::size_t tail = close;
+        while (tail > open && is_ident_char(line[tail - 1])) --tail;
+        if (line.compare(tail, close - tail, mutex_name) == 0) return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// mutex-needs-guards — a mutex no FR_* annotation in its file names is
+/// invisible to the thread-safety analysis. The wrapper layer itself
+/// (common/mutex.h) owns the raw std primitives and is exempt.
+void check_mutex_needs_guards(const SourceFile& file,
+                              std::vector<Violation>& out) {
+  if (path_ends_with(file.path, "common/mutex.h")) return;
+  for (std::size_t n = 0; n < file.scrubbed.size(); ++n) {
+    const std::string name = mutex_decl_name(file.scrubbed[n]);
+    if (name.empty() || line_allows(file, n + 1, "mutex-needs-guards") ||
+        has_annotation_for(file, name)) {
+      continue;
+    }
+    report(out, file, n + 1, "mutex-needs-guards",
+           "mutex '" + name +
+               "' guards no FR_GUARDED_BY-annotated field in this file");
+  }
+}
+
+/// no-raw-thread — the pool (common/thread_pool.*) is the only place
+/// threads are born, so task groups, stealing and shutdown stay the
+/// only concurrency protocol.
+void check_no_raw_thread(const SourceFile& file, std::vector<Violation>& out) {
+  if (path_ends_with(file.path, "common/thread_pool.h") ||
+      path_ends_with(file.path, "common/thread_pool.cpp")) {
+    return;
+  }
+  static const std::vector<std::string> kThreadTokens = {
+      "std::jthread", "std::async", "pthread_create"};
+  const std::string thread = "std::thread";
+  for (std::size_t n = 0; n < file.scrubbed.size(); ++n) {
+    const std::string& line = file.scrubbed[n];
+    if (line_allows(file, n + 1, "no-raw-thread")) continue;
+    const auto flag = [&](const std::string& token) {
+      report(out, file, n + 1, "no-raw-thread",
+             "'" + token + "' outside common/thread_pool — use "
+             "ThreadPool/TaskGroup");
+    };
+    for (const std::string& token : kThreadTokens) {
+      if (line.find(token) != std::string::npos) flag(token);
+    }
+    for (std::size_t pos = line.find(thread); pos != std::string::npos;
+         pos = line.find(thread, pos + 1)) {
+      const std::size_t end = pos + thread.size();
+      // std::thread::hardware_concurrency() is a capability query, not
+      // a thread spawn; scope-qualified uses stay legal.
+      const bool scope_use =
+          end + 1 < line.size() && line[end] == ':' && line[end + 1] == ':';
+      if (!scope_use && (end >= line.size() || !is_ident_char(line[end]))) {
+        flag(thread);
+      }
+    }
+  }
+}
+
+/// no-c-random — rand()/srand()/rand_r() (std:: spelled or not) break
+/// run-to-run reproducibility; common/random.h is seeded.
+void check_no_c_random(const SourceFile& file, std::vector<Violation>& out) {
+  for (std::size_t n = 0; n < file.scrubbed.size(); ++n) {
+    const std::string& line = file.scrubbed[n];
+    if (line_allows(file, n + 1, "no-c-random")) continue;
+    for (const std::string func : {"rand", "srand", "rand_r"}) {
+      for (std::size_t pos = line.find(func); pos != std::string::npos;
+           pos = line.find(func, pos + 1)) {
+        const std::size_t after = pos + func.size();
+        const std::size_t ws = skip_space(line, after);
+        const bool called = ws < line.size() && line[ws] == '(';
+        const bool right_ok =
+            after >= line.size() || !is_ident_char(line[after]);
+        const bool left_ok =
+            pos == 0 || !is_ident_char(line[pos - 1]) ||
+            (pos >= 5 && line.compare(pos - 5, 5, "std::") == 0);
+        if (called && right_ok && left_ok) {
+          report(out, file, n + 1, "no-c-random",
+                 "'" + func + "()' is banned — use the seeded generators "
+                 "in common/random.h");
+        }
+      }
+    }
+  }
+}
+
+/// no-iostream-in-lib — library code (src/) logs through
+/// common/logging.h; <iostream> drags in static-init ordering and
+/// unsynchronized stream state.
+void check_no_iostream_in_lib(const SourceFile& file,
+                              const PassOptions& options,
+                              std::vector<Violation>& out) {
+  if (!options.treat_all_as_src && !path_contains_dir(file.path, "src")) {
+    return;
+  }
+  for (std::size_t n = 0; n < file.scrubbed.size(); ++n) {
+    if (squeeze(file.scrubbed[n]).find("#include<iostream>") !=
+            std::string::npos &&
+        !line_allows(file, n + 1, "no-iostream-in-lib")) {
+      report(out, file, n + 1, "no-iostream-in-lib",
+             "<iostream> in library code — log through common/logging.h");
+    }
+  }
+}
+
+/// no-unbounded-retry — for each condition-driven loop, delimit the
+/// loop region (header parens, then the braced body or the single
+/// statement) and demand that a region mentioning retry/backoff also
+/// mentions a bound. Counted `for` loops are exempt — their trip count
+/// bounds them — unless the for-header itself talks about retrying (a
+/// retry loop spelled as `for`) or is the infinite `for (;;)`. Loop
+/// regions are capped at kMaxLoopLines.
+void check_no_unbounded_retry(const SourceFile& file,
+                              std::vector<Violation>& out) {
+  constexpr std::size_t kMaxLoopLines = 200;
+  static const std::vector<std::string> kRetryTokens = {"retry", "backoff"};
+  static const std::vector<std::string> kBoundTokens = {
+      "max_attempts", "max_retries", "attempt_limit", "retry_budget",
+      "deadline"};
+  const std::vector<std::string>& lines = file.scrubbed;
+
+  for (std::size_t n = 0; n < lines.size(); ++n) {
+    const std::string& line = lines[n];
+    // The first `while`/`for` keyword on the line.
+    std::size_t keyword_pos = std::string::npos;
+    bool is_for = false;
+    for (const std::string keyword : {"while", "for"}) {
+      for (std::size_t pos = line.find(keyword); pos != std::string::npos;
+           pos = line.find(keyword, pos + 1)) {
+        const std::size_t end = pos + keyword.size();
+        if ((pos == 0 || !is_ident_char(line[pos - 1])) &&
+            (end >= line.size() || !is_ident_char(line[end]))) {
+          if (pos < keyword_pos) {
+            keyword_pos = pos;
+            is_for = keyword == "for";
+          }
+          break;
+        }
+      }
+    }
+    if (keyword_pos == std::string::npos ||
+        line_allows(file, n + 1, "no-unbounded-retry")) {
+      continue;
+    }
+
+    // Walk characters from the keyword: first the parenthesized header,
+    // then either a braced body (to its matching close) or a single
+    // statement (to the first ';').
+    int paren_depth = 0;
+    int brace_depth = 0;
+    bool header_done = false;
+    bool in_braces = false;
+    bool done = false;
+    std::string header;
+    std::string region;
+    for (std::size_t m = n; m < lines.size() && m < n + kMaxLoopLines && !done;
+         ++m) {
+      const std::string& body = lines[m];
+      const std::size_t start = m == n ? keyword_pos : 0;
+      region += body.substr(start) + "\n";
+      for (std::size_t i = start; i < body.size() && !done; ++i) {
+        const char c = body[i];
+        if (c == '(') ++paren_depth;
+        if (c == ')' && --paren_depth == 0) header_done = true;
+        if (!header_done) {
+          if (paren_depth > 0 && !(c == '(' && paren_depth == 1)) header += c;
+          continue;
+        }
+        if (c == '{') {
+          ++brace_depth;
+          in_braces = true;
+        }
+        if (c == '}' && --brace_depth == 0 && in_braces) done = true;
+        if (c == ';' && !in_braces && paren_depth == 0) done = true;
+      }
+    }
+
+    const std::string lowered_header = to_lower(header);
+    if (is_for && squeeze(lowered_header) != ";;" &&
+        !mentions_any(lowered_header, kRetryTokens)) {
+      continue;  // a counted for is bounded by construction
+    }
+    const std::string lowered = to_lower(region);
+    if (mentions_any(lowered, kRetryTokens) &&
+        !mentions_any(lowered, kBoundTokens)) {
+      report(out, file, n + 1, "no-unbounded-retry",
+             "retry/backoff loop without a visible bound — reference "
+             "max_attempts/max_retries/attempt_limit/retry_budget or a "
+             "deadline");
+    }
+  }
+}
+
+/// crash-point-required — in PFS code (paths containing "pfs"), a
+/// function applying two or more *distinct* metadata sub-updates
+/// (DIRENT insert/erase, LinkEA append, erase_if) must fire
+/// FR_CRASH_POINT between them (DESIGN.md §15), or the crash-state
+/// enumerator can never interrupt it. Function regions start at
+/// column-0 definition lines (`Type Class::name(...)`); one mutation
+/// alone is atomic from the enumerator's point of view.
+void check_crash_point_required(const SourceFile& file,
+                                std::vector<Violation>& out) {
+  if (file.path.find("pfs") == std::string::npos) return;
+  static const std::vector<std::string> kMutationTokens = {
+      "dirents.push_back", "dirents.erase", "link_ea.push_back", "erase_if"};
+
+  std::size_t region_start = std::string::npos;
+  std::set<std::string> mutations;
+  bool has_point = false;
+  const auto flush = [&] {
+    if (region_start != std::string::npos && mutations.size() >= 2 &&
+        !has_point &&
+        !line_allows(file, region_start + 1, "crash-point-required")) {
+      report(out, file, region_start + 1, "crash-point-required",
+             "function applies " + std::to_string(mutations.size()) +
+                 " distinct metadata sub-updates with no FR_CRASH_POINT — "
+                 "instrument them so crash-state enumeration can interrupt "
+                 "the op");
+    }
+    mutations.clear();
+    has_point = false;
+  };
+
+  for (std::size_t n = 0; n < file.scrubbed.size(); ++n) {
+    const std::string& line = file.scrubbed[n];
+    const bool definition_start =
+        !line.empty() && line[0] != ' ' && line[0] != '\t' &&
+        line[0] != '#' && line[0] != '{' && line[0] != '}' &&
+        line.find("::") != std::string::npos &&
+        line.find('(') != std::string::npos &&
+        line.find("::") < line.find('(');
+    if (definition_start) {
+      flush();
+      region_start = n;
+      continue;
+    }
+    if (region_start == std::string::npos) continue;
+    if (line.find("FR_CRASH_POINT") != std::string::npos) has_point = true;
+    for (const std::string& token : kMutationTokens) {
+      if (line.find(token) != std::string::npos &&
+          !line_allows(file, n + 1, "crash-point-required")) {
+        mutations.insert(token);
+      }
+    }
+  }
+  flush();
+}
+
+}  // namespace
+
+std::vector<Violation> run_house_rules_pass(const std::vector<SourceFile>& files,
+                                            const PassOptions& options) {
+  std::vector<Violation> out;
+  for (const SourceFile& file : files) {
+    check_mutex_needs_guards(file, out);
+    check_no_raw_thread(file, out);
+    check_no_c_random(file, out);
+    check_no_iostream_in_lib(file, options, out);
+    check_no_unbounded_retry(file, out);
+    check_crash_point_required(file, out);
+  }
+  return out;
+}
+
 std::vector<Violation> run_all_passes(const std::vector<SourceFile>& files,
                                       const SymbolTable& /*symbols*/,
                                       const IncludeGraph& includes,
@@ -679,6 +1053,7 @@ std::vector<Violation> run_all_passes(const std::vector<SourceFile>& files,
   append(run_serdes_asymmetry_pass(wire, files));
   append(run_unchecked_wire_count_pass(wire, files));
   append(run_schema_drift_pass(wire, files, options));
+  append(run_house_rules_pass(files, options));
   std::sort(out.begin(), out.end(), [](const Violation& a, const Violation& b) {
     if (a.file != b.file) return a.file < b.file;
     if (a.line != b.line) return a.line < b.line;

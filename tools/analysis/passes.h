@@ -1,4 +1,4 @@
-// The cross-file fr_analyze passes (DESIGN.md §11, §13).
+// The fr_analyze passes (DESIGN.md §8, §11, §13).
 //
 // Intra-procedural (corpus-wide token view):
 //
@@ -65,6 +65,38 @@
 //                           a format-version-constant bump in the
 //                           writer's TU fails the gate.
 //
+// Per-file house rules (line rules over SourceFile::scrubbed, so
+// comments and literals never trip them):
+//
+//   mutex-needs-guards      A mutex declaration (std::mutex,
+//                           std::shared_mutex, Mutex, SharedMutex) that
+//                           no FR_GUARDED_BY / FR_PT_GUARDED_BY /
+//                           FR_REQUIRES / FR_ACQUIRE / ... annotation in
+//                           the same file names: a bare mutex is
+//                           invisible to the thread-safety analysis.
+//                           common/mutex.h, the wrapper layer, is exempt.
+//   no-raw-thread           std::thread / std::jthread / std::async /
+//                           pthread_create outside common/thread_pool.*:
+//                           the pool is the only concurrency protocol.
+//   no-c-random             rand()/srand()/rand_r(): experiment
+//                           randomness flows through common/random.h so
+//                           runs reproduce from one seed.
+//   no-iostream-in-lib      #include <iostream> in library code (src/):
+//                           static-init order and unsynchronized stream
+//                           state; library code logs via common/logging.h.
+//   no-unbounded-retry      A condition-driven loop (`while`, `for (;;)`,
+//                           or a `for` whose header talks about retrying)
+//                           whose region mentions retry/backoff but no
+//                           bound (max_attempts, max_retries,
+//                           attempt_limit, retry_budget, deadline).
+//   crash-point-required    In PFS code (paths containing "pfs"), a
+//                           function applying two or more distinct
+//                           metadata sub-updates (DIRENT insert/erase,
+//                           LinkEA append, erase_if) with no
+//                           FR_CRASH_POINT between them (DESIGN.md §15):
+//                           crash-state enumeration could never
+//                           interrupt it.
+//
 // A line can opt out with a trailing `// fr_analyze: allow(rule-id)`.
 // Every violation carries a line-insensitive fingerprint for the
 // baseline gate (analysis/baseline.h).
@@ -87,16 +119,20 @@ namespace fr_analysis {
 
 /// Every rule id fr_analyze can emit (the fixture self-test demands
 /// each appears in exactly one EXPECT header).
-inline constexpr std::array<const char*, 10> kAnalyzeRuleIds = {
+inline constexpr std::array<const char*, 16> kAnalyzeRuleIds = {
     "lock-order-cycle",    "sim-time",
     "determinism-reduction", "lock-order-cycle-transitive",
     "blocking-under-lock", "determinism-taint",
     "guarded-by-coverage", "serdes-asymmetry",
-    "unchecked-wire-count", "schema-drift"};
+    "unchecked-wire-count", "schema-drift",
+    "mutex-needs-guards",  "no-raw-thread",
+    "no-c-random",         "no-iostream-in-lib",
+    "no-unbounded-retry",  "crash-point-required"};
 
 struct PassOptions {
   /// Self-test mode: treat every file as pipeline code (src/), so the
-  /// sim-time pass is live on fixtures regardless of their path.
+  /// sim-time and no-iostream-in-lib rules are live on fixtures
+  /// regardless of their path.
   bool treat_all_as_src = false;
   /// Committed schema fingerprints to diff against. Empty disables the
   /// schema-drift pass (the other wire passes are always live).
@@ -145,7 +181,12 @@ struct PassOptions {
     const WireModel& wire, const std::vector<SourceFile>& files,
     const PassOptions& options);
 
-/// All ten passes over an analyzed corpus, sorted by
+/// The six per-file house rules (mutex-needs-guards through
+/// crash-point-required) over every file's scrubbed lines.
+[[nodiscard]] std::vector<Violation> run_house_rules_pass(
+    const std::vector<SourceFile>& files, const PassOptions& options);
+
+/// Every pass over an analyzed corpus, sorted by
 /// (file, line, rule, message) — byte-stable across runs.
 [[nodiscard]] std::vector<Violation> run_all_passes(
     const std::vector<SourceFile>& files, const SymbolTable& symbols,

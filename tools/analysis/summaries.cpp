@@ -188,21 +188,12 @@ Summaries Summaries::build(const std::vector<SourceFile>& files,
       if (toks[k].kind == TokKind::kIdent && k + 2 < toks.size() &&
           toks[k + 1].kind == TokKind::kIdent &&
           toks[k + 1].text == "FR_GUARDED_BY" && is_punct(toks[k + 2], "(")) {
-        int depth = 0;
-        std::string guard;
-        for (std::size_t m = k + 2; m < toks.size(); ++m) {
-          if (is_punct(toks[m], "(")) ++depth;
-          if (is_punct(toks[m], ")")) {
-            --depth;
-            if (depth == 0) break;
-          }
-          if (toks[m].kind == TokKind::kIdent) guard = toks[m].text;
-        }
-        const std::string guard_id = guard.empty()
-                                         ? ""
-                                         : symbols.resolve(guard, file.path,
-                                                           scopes.class_path(),
-                                                           includes);
+        const LockRef guard = lock_ref_at(toks, k + 2);
+        const std::string guard_id =
+            guard.name.empty()
+                ? ""
+                : symbols.resolve(guard.name, file.path, scopes.class_path(),
+                                  includes, guard.object);
         if (!guard_id.empty()) {
           GuardedField field;
           field.name = toks[k].text;
@@ -364,26 +355,13 @@ Summaries Summaries::build(const std::vector<SourceFile>& files,
         if ((toks[k].text == "MutexLock" || toks[k].text == "SharedLock") &&
             toks[k].kind == TokKind::kIdent && k + 2 < toks.size() &&
             toks[k + 1].kind == TokKind::kIdent && is_punct(toks[k + 2], "(")) {
-          // Peek the resolution the walker is about to do by reusing
-          // its result after advance — cheaper to duplicate the name
-          // scan here.
-          int depth = 0;
-          std::string last_ident;
-          for (std::size_t m = k + 2; m < toks.size(); ++m) {
-            if (is_punct(toks[m], "(")) {
-              ++depth;
-              if (depth == 1) continue;
-            }
-            if (is_punct(toks[m], ")")) {
-              --depth;
-              if (depth == 0) break;
-            }
-            if (toks[m].kind == TokKind::kIdent) last_ident = toks[m].text;
-          }
-          if (!last_ident.empty()) {
+          // The same resolution the walker is about to do.
+          const LockRef ref = lock_ref_at(toks, k + 2);
+          if (!ref.name.empty()) {
             const std::string id =
-                symbols.resolve(last_ident, file.path,
-                                walker.scopes().class_path(), includes);
+                symbols.resolve(ref.name, file.path,
+                                walker.scopes().class_path(), includes,
+                                ref.object);
             if (!id.empty()) {
               AcquireFact fact;
               fact.lock_id = id;

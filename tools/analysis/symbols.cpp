@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <set>
 
 #include "analysis/scopes.h"
 
@@ -33,6 +34,15 @@ std::string mutex_type_at(const std::vector<Token>& toks, std::size_t k,
   return "";
 }
 
+std::string last_component(const std::string& path) {
+  const std::size_t cut = path.rfind("::");
+  return cut == std::string::npos ? path : path.substr(cut + 2);
+}
+
+bool is_member(const MutexDecl& decl) {
+  return decl.id != decl.file + "::" + decl.name;
+}
+
 bool all_caps(const std::string& s) {
   bool has_alpha = false;
   for (const char c : s) {
@@ -51,7 +61,8 @@ const std::array<const char*, 10> kOtherAnns = {
     "FR_RETURN_CAPABILITY"};
 
 struct AnnRef {
-  std::string name;  ///< trailing identifier of the annotation argument
+  std::string name;    ///< trailing identifier of the annotation argument
+  std::string object;  ///< what it is accessed through (LockRef::object)
   std::string file;
   std::string class_path;
   bool guarded = false;  ///< FR_GUARDED_BY/FR_PT_GUARDED_BY vs the rest
@@ -69,6 +80,25 @@ bool inside_class(const ScopeTracker& scopes) {
 }
 
 }  // namespace
+
+LockRef lock_ref_at(const std::vector<Token>& toks, std::size_t open) {
+  LockRef ref;
+  int depth = 0;
+  for (std::size_t m = open; m < toks.size(); ++m) {
+    if (is_punct(toks[m], "(") && ++depth == 1) continue;
+    if (is_punct(toks[m], ")") && --depth == 0) break;
+    if (toks[m].kind == TokKind::kIdent) {
+      ref.name = toks[m].text;
+      const bool member_access =
+          m >= open + 3 &&
+          (is_punct(toks[m - 1], ".") || is_punct(toks[m - 1], "->")) &&
+          toks[m - 2].kind == TokKind::kIdent && toks[m - 2].text != "this";
+      ref.object = member_access ? toks[m - 2].text : "";
+    }
+    ref.expr += toks[m].text;
+  }
+  return ref;
+}
 
 SymbolTable SymbolTable::build(const std::vector<SourceFile>& files,
                                const IncludeGraph& includes) {
@@ -138,21 +168,10 @@ SymbolTable SymbolTable::build(const std::vector<SourceFile>& files,
             std::find(kOtherAnns.begin(), kOtherAnns.end(), toks[k].text) !=
             kOtherAnns.end();
         if (guarded || other) {
-          // Last identifier before the matching ')' is the lock name
-          // (handles qualified arguments like pool_.mutex_).
-          int depth = 0;
-          std::string last_ident;
-          for (std::size_t m = k + 1; m < toks.size(); ++m) {
-            if (is_punct(toks[m], "(")) ++depth;
-            if (is_punct(toks[m], ")")) {
-              --depth;
-              if (depth == 0) break;
-            }
-            if (toks[m].kind == TokKind::kIdent) last_ident = toks[m].text;
-          }
-          if (!last_ident.empty()) {
-            refs.push_back(
-                {last_ident, file.path, scopes.class_path(), guarded});
+          LockRef ref = lock_ref_at(toks, k + 1);
+          if (!ref.name.empty()) {
+            refs.push_back({std::move(ref.name), std::move(ref.object),
+                            file.path, scopes.class_path(), guarded});
           }
         }
       }
@@ -161,10 +180,48 @@ SymbolTable SymbolTable::build(const std::vector<SourceFile>& files,
     }
   }
 
+  // Objects a member lock can be reached through: members, variables
+  // and parameters declared with the type of a class owning a mutex
+  // (`ThreadPool& pool_;`, `ThreadPool* pool,`).
+  std::set<std::string> owners;
+  for (const MutexDecl& decl : table.mutexes_) {
+    if (is_member(decl)) owners.insert(last_component(decl.class_path));
+  }
+  for (const SourceFile& file : files) {
+    const std::vector<Token>& toks = file.tokens;
+    for (std::size_t k = 0; k < toks.size(); ++k) {
+      if (toks[k].kind != TokKind::kIdent || owners.count(toks[k].text) == 0) {
+        continue;
+      }
+      std::size_t n = k + 1;
+      if (n < toks.size() && is_punct(toks[n], "<")) {  // template args
+        for (int depth = 0; n < toks.size(); ++n) {
+          if (is_punct(toks[n], "<")) ++depth;
+          if (is_punct(toks[n], ">")) --depth;
+          if (is_punct(toks[n], ">>")) depth -= 2;
+          if (depth <= 0) break;
+        }
+        ++n;
+      }
+      while (n < toks.size() &&
+             (is_punct(toks[n], "&") || is_punct(toks[n], "*") ||
+              is_punct(toks[n], "&&") ||
+              (toks[n].kind == TokKind::kIdent && toks[n].text == "const"))) {
+        ++n;
+      }
+      if (n + 1 < toks.size() && toks[n].kind == TokKind::kIdent &&
+          (is_punct(toks[n + 1], ";") || is_punct(toks[n + 1], ",") ||
+           is_punct(toks[n + 1], ")") || is_punct(toks[n + 1], "=") ||
+           is_punct(toks[n + 1], "{"))) {
+        table.objects_.push_back({toks[n].text, toks[k].text, file.path});
+      }
+    }
+  }
+
   // Settle annotation counts against the declarations.
   for (const AnnRef& ref : refs) {
-    const std::string id =
-        table.resolve(ref.name, ref.file, ref.class_path, includes);
+    const std::string id = table.resolve(ref.name, ref.file, ref.class_path,
+                                         includes, ref.object);
     if (id.empty()) continue;
     for (MutexDecl& decl : table.mutexes_) {
       if (decl.id == id) {
@@ -183,11 +240,34 @@ SymbolTable SymbolTable::build(const std::vector<SourceFile>& files,
 std::string SymbolTable::resolve(const std::string& name,
                                  const std::string& use_file,
                                  const std::string& use_class_path,
-                                 const IncludeGraph& includes) const {
+                                 const IncludeGraph& includes,
+                                 const std::string& object) const {
   const std::set<std::string>& visible = includes.visible_from(use_file);
-  const auto is_visible = [&](const MutexDecl& d) {
+  const auto is_visible = [&](const auto& d) {
     return d.file == use_file || visible.count(d.file) > 0;
   };
+
+  // 0. A member access resolves through the object's class.
+  if (!object.empty()) {
+    std::string type;
+    bool one_type = true;
+    for (const ObjectDecl& obj : objects_) {
+      if (obj.name != object || !is_visible(obj)) continue;
+      one_type = one_type && (type.empty() || type == obj.type);
+      type = obj.type;
+    }
+    const MutexDecl* owned = nullptr;
+    bool unique = one_type && !type.empty();
+    for (const MutexDecl& decl : mutexes_) {
+      if (!unique) break;
+      if (decl.name == name && is_member(decl) && is_visible(decl) &&
+          last_component(decl.class_path) == type) {
+        unique = owned == nullptr || owned->id == decl.id;
+        owned = &decl;
+      }
+    }
+    if (unique && owned != nullptr) return owned->id;
+  }
 
   // 1. Enclosing class chain, innermost first.
   std::string chain = use_class_path;

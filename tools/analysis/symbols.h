@@ -34,6 +34,22 @@ struct MutexDecl {
   std::size_t other_refs = 0;    ///< FR_REQUIRES/FR_ACQUIRE/... naming it
 };
 
+/// The lock an annotation or scoped-lock argument names: the trailing
+/// identifier of the parenthesized expression, plus the identifier it
+/// is accessed through (`pool_` in `pool_.mutex_`; "" for a bare name
+/// or a `this->` access).
+struct LockRef {
+  std::string name;
+  std::string object;
+  std::string expr;  ///< the argument's tokens, concatenated
+};
+
+/// Reads the LockRef of the parenthesized argument opening at `open`
+/// (which must be "("). `name` is "" when the argument has no
+/// identifier.
+[[nodiscard]] LockRef lock_ref_at(const std::vector<Token>& toks,
+                                  std::size_t open);
+
 class SymbolTable {
  public:
   [[nodiscard]] static SymbolTable build(const std::vector<SourceFile>& files,
@@ -44,17 +60,31 @@ class SymbolTable {
   }
 
   /// Resolves a lock name used at `use_file` inside `use_class_path` to
-  /// a declaration identity. Lookup order mirrors the language: the
-  /// enclosing class chain first, then file-scope declarations visible
-  /// to the TU, then a unique TU-visible member match. Returns "" when
-  /// nothing (or nothing unambiguous) matches.
+  /// a declaration identity. A member access (`object` non-empty) first
+  /// resolves through the owning class: when every visible declaration
+  /// of `object` has the same type and exactly one visible mutex `name`
+  /// is a member of that class, that mutex is the answer. Otherwise the
+  /// lookup order mirrors the language: the enclosing class chain
+  /// first, then file-scope declarations visible to the TU, then a
+  /// unique TU-visible member match. Returns "" when nothing (or
+  /// nothing unambiguous) matches.
   [[nodiscard]] std::string resolve(const std::string& name,
                                     const std::string& use_file,
                                     const std::string& use_class_path,
-                                    const IncludeGraph& includes) const;
+                                    const IncludeGraph& includes,
+                                    const std::string& object = "") const;
 
  private:
+  /// A variable, member or parameter whose declared type is a class
+  /// owning a mutex member — the only objects a lock is reached through.
+  struct ObjectDecl {
+    std::string name;
+    std::string type;  ///< unqualified class name
+    std::string file;
+  };
+
   std::vector<MutexDecl> mutexes_;
+  std::vector<ObjectDecl> objects_;
 };
 
 }  // namespace fr_analysis

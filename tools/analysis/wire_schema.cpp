@@ -130,11 +130,11 @@ struct Extractor {
   const SourceFile& file;
   const FunctionDef& def;
   const std::map<std::string, std::string>& types;
-  std::set<std::string> writer_vars;
-  std::set<std::string> reader_vars;
-  std::map<std::string, CountDef> count_defs;
-  std::map<std::string, std::string> container_links;  // container → count
-  std::vector<WireCountUse> unchecked;
+  std::set<std::string> writer_vars{};
+  std::set<std::string> reader_vars{};
+  std::map<std::string, CountDef> count_defs{};
+  std::map<std::string, std::string> container_links{};  // container → count
+  std::vector<WireCountUse> unchecked{};
   bool writes = false;
   bool reads = false;
 

@@ -1,6 +1,9 @@
-// fr_analyze — token-level cross-file analyzer for the invariants the
-// single-file fr_lint pass structurally cannot see (DESIGN.md §11, §13):
+// fr_analyze — the repo's one static analyzer (DESIGN.md §8,
+// §11, §13). One tokenized corpus feeds every rule:
 //
+//   * per-file house rules over the scrubbed lines (mutex-needs-guards,
+//     no-raw-thread, no-c-random, no-iostream-in-lib,
+//     no-unbounded-retry, crash-point-required);
 //   * the global lock hierarchy (lock-order-cycle, plus the
 //     call-chain-transitive variant fed by per-function summaries):
 //     MutexLock nesting is extracted per translation unit, resolved
@@ -16,7 +19,13 @@
 //   * blocking-under-lock: no wait/join/file-I/O reachable while a
 //     scoped lock is held;
 //   * guarded-by-coverage: every FR_GUARDED_BY field write sits on a
-//     path that holds (or FR_REQUIRES) the guard.
+//     path that holds (or FR_REQUIRES) the guard;
+//   * the wire-schema model (analysis/wire_schema.h): serdes
+//     writer/reader pairs are reconstructed into field sequences,
+//     compared for symmetry (serdes-asymmetry), scanned for unvalidated
+//     wire counts (unchecked-wire-count), and fingerprinted against the
+//     committed tools/analysis/wire_schemas.json (schema-drift — a
+//     schema change without a format-version bump fails the gate).
 //
 // The static side is paired with a dynamic verifier: build with
 // -DFAULTYRANK_DEADLOCK_DETECT=ON (the `deadlock` preset) and the
@@ -24,13 +33,6 @@
 // global acquired-after edge set, aborting (or calling the test hook)
 // with both stacks on an inversion. Statically this tool covers all
 // code paths; dynamically the tests cover the paths they execute.
-//
-// PR 10 adds the wire-schema model (analysis/wire_schema.h): serdes
-// writer/reader pairs are reconstructed into field sequences, compared
-// for symmetry (serdes-asymmetry), scanned for unvalidated wire counts
-// (unchecked-wire-count), and fingerprinted against the committed
-// tools/analysis/wire_schemas.json (schema-drift — a schema change
-// without a format-version bump fails the gate).
 //
 // Usage:
 //   fr_analyze [--json|--sarif] [--baseline <f> | --write-baseline <f>]

@@ -23,7 +23,9 @@ class MutexLock {
   Mutex& m_;
 };
 
-inline Mutex g_lock_a;
-inline Mutex g_lock_b;
+// Pure lock-order endpoints: they guard no data, so the house rule
+// that wants an FR_GUARDED_BY partner is waived per line.
+inline Mutex g_lock_a;  // fr_analyze: allow(mutex-needs-guards)
+inline Mutex g_lock_b;  // fr_analyze: allow(mutex-needs-guards)
 
 }  // namespace fx

@@ -34,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "checker/convergence.h"
+#include "checker/checker.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -355,8 +355,8 @@ StateResult evaluate(const std::vector<Base>& bases, const StatePlan& plan) {
     if (finding.unverifiable) continue;
     if (!involves(finding, made->touched)) ++result.false_positives;
   }
-  const ConvergenceResult conv = repair_until_clean(fr, checker, kMaxRounds);
-  result.fr_clean = conv.clean;
+  const OnlineCheckResult conv = repair_until_clean(fr, checker, kMaxRounds);
+  result.fr_clean = conv.verified_consistent;
   result.fr_rounds = conv.repair_rounds;
   result.fr_repairs = conv.repairs_applied;
 
@@ -446,7 +446,7 @@ void serdes_case(const std::vector<std::uint8_t>& base, bool truncate,
       (void)checker.check();
       ++tally.parsed;
       try {
-        if (repair_until_clean(cluster, checker, 4).clean) {
+        if (repair_until_clean(cluster, checker, 4).verified_consistent) {
           ++tally.fr_converged;
         }
       } catch (const std::exception&) {

@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "aggregator/aggregator.h"
-#include "checker/convergence.h"
+#include "checker/checker.h"
 #include "faults/injector.h"
 #include "faults/op_faults.h"
 #include "online/online_checker.h"
@@ -213,12 +213,12 @@ void Soak::inject_next() {
 }
 
 void Soak::converge(const char* why) {
-  const ConvergenceResult result =
+  const OnlineCheckResult result =
       repair_until_clean(cluster_, *checker_, params_.max_repair_rounds);
   metrics_.convergence_rounds_max =
       std::max(metrics_.convergence_rounds_max, result.repair_rounds);
   metrics_.repairs_applied += result.repairs_applied;
-  invariants_.expect(result.clean, why);
+  invariants_.expect(result.verified_consistent, why);
   // The oracle's full scrubs see every outstanding fault; whatever the
   // incremental scrub had not reached yet is detected (and repaired)
   // now, so its first-finding time is the current sim time.

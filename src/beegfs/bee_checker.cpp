@@ -2,34 +2,66 @@
 
 #include <algorithm>
 
+#include "beegfs/bee_scanner.h"
 #include "graph/unified_graph.h"
 
 namespace faultyrank {
 
 namespace {
 
-RepairOutcome failure(const RepairAction& action, std::string detail) {
-  return {action, false, std::move(detail)};
-}
-
-RepairOutcome success(const RepairAction& action, std::string detail) {
-  return {action, true, std::move(detail)};
-}
-
 /// True when `fid` names a namespace entry (dir/file) on the meta
 /// server rather than a chunk.
 bool is_meta_fid(const Fid& fid) { return fid.seq == kBeeMetaSeq; }
 
-}  // namespace
+/// The BeeGFS check backend: every check scans every server; repairs
+/// write dentries, xattrs and chunk files.
+class BeeBackend final : public RepairExecutorBase {
+ public:
+  BeeBackend(BeeCluster& cluster, const CheckConfig& config)
+      : cluster_(cluster), config_(config) {}
 
-int BeeRepairExecutor::target_of(const Fid& fid) const {
+  CheckResult check();
+
+ private:
+  /// The meta entry `fid` names, or nullptr.
+  BeeMetaInode* entry(const Fid& fid) {
+    return cluster_.meta().find(entry_id_from_fid(fid));
+  }
+  /// Which storage target a chunk-identity fid lives on, or -1.
+  [[nodiscard]] int target_of(const Fid& fid) const;
+  [[nodiscard]] BeeChunkFile* find_chunk(const Fid& identity);
+
+  RepairOutcome add_back_pointer(const RepairAction& action) override;
+  RepairOutcome overwrite_id(const RepairAction& action) override;
+  RepairOutcome relink_property(const RepairAction& action) override;
+  RepairOutcome remove_reference(const RepairAction& action) override;
+  RepairOutcome quarantine(const RepairAction& action) override;
+
+  BeeCluster& cluster_;
+  const CheckConfig& config_;
+};
+
+CheckResult BeeBackend::check() {
+  std::vector<BeeScanResult> scans = scan_bee_cluster(cluster_);
+  std::vector<PartialGraph> partials;
+  partials.reserve(scans.size());
+  for (BeeScanResult& scan : scans) partials.push_back(std::move(scan.graph));
+  const UnifiedGraph graph = UnifiedGraph::aggregate(partials, config_.pool);
+  CheckResult pass;
+  rank_and_detect(graph, config_,
+                  fid_from_entry_id(cluster_.root()).value_or(Fid{}), {},
+                  pass);
+  return pass;
+}
+
+int BeeBackend::target_of(const Fid& fid) const {
   if (fid.seq < kBeeChunkSeqBase) return -1;
   const std::uint64_t index = fid.seq - kBeeChunkSeqBase;
   if (index >= cluster_.targets().size()) return -1;
   return static_cast<int>(index);
 }
 
-BeeChunkFile* BeeRepairExecutor::find_chunk(const Fid& identity) {
+BeeChunkFile* BeeBackend::find_chunk(const Fid& identity) {
   const int target = target_of(identity);
   if (target < 0) return nullptr;
   for (BeeChunkFile& chunk :
@@ -43,32 +75,10 @@ BeeChunkFile* BeeRepairExecutor::find_chunk(const Fid& identity) {
   return nullptr;
 }
 
-RepairOutcome BeeRepairExecutor::apply(const RepairAction& action) {
-  switch (action.kind) {
-    case RepairKind::kAddBackPointer: return add_back_pointer(action);
-    case RepairKind::kOverwriteId: return overwrite_id(action);
-    case RepairKind::kRelinkProperty: return relink_property(action);
-    case RepairKind::kRemoveReference: return remove_reference(action);
-    case RepairKind::kQuarantineLostFound: return quarantine(action);
-    case RepairKind::kNone: return success(action, "report-only");
-  }
-  return failure(action, "unknown repair kind");
-}
-
-std::vector<RepairOutcome> BeeRepairExecutor::apply_all(
-    const RepairPlan& plan) {
-  std::vector<RepairOutcome> outcomes;
-  outcomes.reserve(plan.size());
-  for (const RepairAction& action : plan) outcomes.push_back(apply(action));
-  return outcomes;
-}
-
-RepairOutcome BeeRepairExecutor::add_back_pointer(
-    const RepairAction& action) {
+RepairOutcome BeeBackend::add_back_pointer(const RepairAction& action) {
   switch (action.edge_kind) {
     case EdgeKind::kLinkEa: {
-      BeeMetaInode* inode =
-          cluster_.meta().find(entry_id_from_fid(action.target));
+      BeeMetaInode* inode = entry(action.target);
       if (inode == nullptr) return failure(action, "entry not found");
       const std::string parent_id = entry_id_from_fid(action.value);
       inode->parent_entry_id = parent_id;
@@ -85,8 +95,7 @@ RepairOutcome BeeRepairExecutor::add_back_pointer(
       return success(action, "parent xattr restored");
     }
     case EdgeKind::kDirent: {
-      BeeMetaInode* child =
-          cluster_.meta().find(entry_id_from_fid(action.value));
+      BeeMetaInode* child = entry(action.value);
       if (child == nullptr) return failure(action, "child entry not found");
       auto& dentries =
           cluster_.meta().dentries[entry_id_from_fid(action.target)];
@@ -105,8 +114,7 @@ RepairOutcome BeeRepairExecutor::add_back_pointer(
       return success(action, "origin xattr restored");
     }
     case EdgeKind::kLovEa: {
-      BeeMetaInode* file =
-          cluster_.meta().find(entry_id_from_fid(action.target));
+      BeeMetaInode* file = entry(action.target);
       if (file == nullptr || !file->pattern.has_value()) {
         return failure(action, "file or pattern not found");
       }
@@ -130,10 +138,9 @@ RepairOutcome BeeRepairExecutor::add_back_pointer(
   return failure(action, "unhandled edge kind");
 }
 
-RepairOutcome BeeRepairExecutor::overwrite_id(const RepairAction& action) {
+RepairOutcome BeeBackend::overwrite_id(const RepairAction& action) {
   if (is_meta_fid(action.target)) {
-    BeeMetaInode* inode =
-        cluster_.meta().find(entry_id_from_fid(action.target));
+    BeeMetaInode* inode = entry(action.target);
     if (inode == nullptr) return failure(action, "entry not found");
     const std::string old_id = inode->entry_id;
     const std::string new_id = entry_id_from_fid(action.value);
@@ -157,8 +164,7 @@ RepairOutcome BeeRepairExecutor::overwrite_id(const RepairAction& action) {
   return success(action, "chunk file renamed");
 }
 
-RepairOutcome BeeRepairExecutor::relink_property(
-    const RepairAction& action) {
+RepairOutcome BeeBackend::relink_property(const RepairAction& action) {
   switch (action.edge_kind) {
     case EdgeKind::kDirent: {
       auto& dentries =
@@ -173,8 +179,7 @@ RepairOutcome BeeRepairExecutor::relink_property(
       return failure(action, "no dentry references the stale id");
     }
     case EdgeKind::kLovEa: {
-      BeeMetaInode* file =
-          cluster_.meta().find(entry_id_from_fid(action.target));
+      BeeMetaInode* file = entry(action.target);
       if (file == nullptr || !file->pattern.has_value()) {
         return failure(action, "file or pattern not found");
       }
@@ -195,8 +200,7 @@ RepairOutcome BeeRepairExecutor::relink_property(
       return failure(action, "no stripe slot on the stale target");
     }
     case EdgeKind::kLinkEa: {
-      BeeMetaInode* inode =
-          cluster_.meta().find(entry_id_from_fid(action.target));
+      BeeMetaInode* inode = entry(action.target);
       if (inode == nullptr) return failure(action, "entry not found");
       if (inode->parent_entry_id != entry_id_from_fid(action.stale)) {
         return failure(action, "parent xattr does not match the stale id");
@@ -219,8 +223,7 @@ RepairOutcome BeeRepairExecutor::relink_property(
   return failure(action, "unhandled edge kind");
 }
 
-RepairOutcome BeeRepairExecutor::remove_reference(
-    const RepairAction& action) {
+RepairOutcome BeeBackend::remove_reference(const RepairAction& action) {
   switch (action.edge_kind) {
     case EdgeKind::kDirent: {
       auto& dentries =
@@ -235,8 +238,7 @@ RepairOutcome BeeRepairExecutor::remove_reference(
       return failure(action, "no dentry references the id");
     }
     case EdgeKind::kLovEa: {
-      BeeMetaInode* file =
-          cluster_.meta().find(entry_id_from_fid(action.target));
+      BeeMetaInode* file = entry(action.target);
       if (file == nullptr || !file->pattern.has_value()) {
         return failure(action, "file or pattern not found");
       }
@@ -252,8 +254,7 @@ RepairOutcome BeeRepairExecutor::remove_reference(
       return success(action, "stripe target removed");
     }
     case EdgeKind::kLinkEa: {
-      BeeMetaInode* inode =
-          cluster_.meta().find(entry_id_from_fid(action.target));
+      BeeMetaInode* inode = entry(action.target);
       if (inode == nullptr) return failure(action, "entry not found");
       if (inode->parent_entry_id != entry_id_from_fid(action.value)) {
         return failure(action, "parent xattr does not match");
@@ -276,13 +277,13 @@ RepairOutcome BeeRepairExecutor::remove_reference(
   return failure(action, "unhandled edge kind");
 }
 
-RepairOutcome BeeRepairExecutor::quarantine(const RepairAction& action) {
+RepairOutcome BeeBackend::quarantine(const RepairAction& action) {
   if (!is_meta_fid(action.target)) {
     return failure(action,
                    "chunk quarantine requires an owner stub; not supported "
                    "on this substrate");
   }
-  BeeMetaInode* inode = cluster_.meta().find(entry_id_from_fid(action.target));
+  BeeMetaInode* inode = entry(action.target);
   if (inode == nullptr) return failure(action, "entry not found");
   // Ensure /lost+found exists.
   std::string lost_found;
@@ -300,43 +301,11 @@ RepairOutcome BeeRepairExecutor::quarantine(const RepairAction& action) {
   return success(action, "moved to lost+found");
 }
 
-BeeCheckResult run_bee_checker(BeeCluster& cluster,
-                               const BeeCheckerConfig& config) {
-  const auto run_pass = [&cluster, &config] {
-    BeeCheckResult result;
-    const std::vector<BeeScanResult> scans = scan_bee_cluster(cluster);
-    std::vector<PartialGraph> partials;
-    partials.reserve(scans.size());
-    for (const BeeScanResult& scan : scans) partials.push_back(scan.graph);
-    const UnifiedGraph graph = UnifiedGraph::aggregate(partials);
+}  // namespace
 
-    result.ranks = run_faultyrank(graph, config.rank);
-    DetectorConfig detector_config;
-    detector_config.threshold = config.detection_threshold;
-    const auto root = fid_from_entry_id(cluster.root());
-    if (root) detector_config.root = *root;
-    result.report =
-        detect_inconsistencies(graph, result.ranks, detector_config);
-    result.vertices = graph.vertex_count();
-    result.edges = graph.edge_count();
-    result.unpaired_edges = graph.unpaired_edges().size();
-    return result;
-  };
-
-  BeeCheckResult result = run_pass();
-  if (config.apply_repairs && !result.report.consistent()) {
-    BeeRepairExecutor executor(cluster);
-    result.repair_outcomes = executor.apply_all(result.report.repair_plan());
-    for (const auto& outcome : result.repair_outcomes) {
-      if (outcome.applied) ++result.repairs_applied;
-    }
-    if (config.verify_after_repair) {
-      result.verified_consistent = run_pass().report.consistent();
-    }
-  } else if (config.verify_after_repair) {
-    result.verified_consistent = result.report.consistent();
-  }
-  return result;
+CheckResult run_checker(BeeCluster& cluster, const CheckConfig& config) {
+  BeeBackend backend(cluster, config);
+  return check_and_repair(backend, config);
 }
 
 }  // namespace faultyrank

@@ -9,8 +9,33 @@ namespace faultyrank {
 
 namespace {
 
-/// One scan→aggregate→rank→detect pass; repairs are the caller's call.
-CheckerResult run_pass(LustreCluster& cluster, const CheckerConfig& config) {
+/// run_checker's backend: every check is a full scan → aggregate →
+/// rank → detect pass over the cluster.
+class OfflineBackend final : public RepairExecutor {
+ public:
+  OfflineBackend(LustreCluster& cluster, const CheckerConfig& config)
+      : RepairExecutor(cluster),
+        config_(config),
+        checkpoint_path_(config.checkpoint_path) {}
+
+  CheckerResult check();
+
+  RepairOutcome apply(const RepairAction& action) override {
+    if (config_.capture_undo && undo_image.empty()) {
+      undo_image = serialize_cluster(cluster_);
+    }
+    return RepairExecutor::apply(action);
+  }
+
+  /// Snapshot taken before the first write (capture_undo).
+  std::vector<std::uint8_t> undo_image;
+
+ private:
+  const CheckerConfig& config_;
+  std::string checkpoint_path_;
+};
+
+CheckerResult OfflineBackend::check() {
   CheckerResult result;
 
   // Streaming pipeline: each finished scan is decoded while the other
@@ -19,15 +44,19 @@ CheckerResult run_pass(LustreCluster& cluster, const CheckerConfig& config) {
   // pool size. Degraded mode: with a fault schedule, a crashed server
   // shrinks coverage rather than aborting the check.
   PipelineConfig pipeline_config;
-  pipeline_config.pool = config.pool;
-  pipeline_config.mdt_disk = config.mdt_disk;
-  pipeline_config.ost_disk = config.ost_disk;
-  pipeline_config.net = config.net;
-  pipeline_config.faults = config.faults;
-  pipeline_config.retry = config.retry;
-  pipeline_config.checkpoint_path = config.checkpoint_path;
-  pipeline_config.checkpoint_epoch = config.checkpoint_epoch;
-  const PipelineResult pipeline = scan_and_aggregate(cluster, pipeline_config);
+  pipeline_config.pool = config_.pool;
+  pipeline_config.mdt_disk = config_.mdt_disk;
+  pipeline_config.ost_disk = config_.ost_disk;
+  pipeline_config.net = config_.net;
+  pipeline_config.faults = config_.faults;
+  pipeline_config.retry = config_.retry;
+  pipeline_config.checkpoint_path = checkpoint_path_;
+  pipeline_config.checkpoint_epoch = config_.checkpoint_epoch;
+  // Only the first check may resume: repairs change the cluster, and a
+  // re-check resumed from the pre-repair checkpoint would verify stale
+  // state.
+  checkpoint_path_.clear();
+  const PipelineResult pipeline = scan_and_aggregate(cluster_, pipeline_config);
   const ClusterScan& scan = pipeline.scan;
   result.coverage = pipeline.agg.coverage;
   result.failed_servers = pipeline.failed_servers;
@@ -41,51 +70,49 @@ CheckerResult run_pass(LustreCluster& cluster, const CheckerConfig& config) {
   result.timings.t_graph_sim =
       std::max(0.0, aggregated.sim_pipeline_seconds - scan.sim_seconds);
   result.timings.t_graph_wall = aggregated.wall_seconds;
-  result.vertices = aggregated.graph.vertex_count();
-  result.edges = aggregated.graph.edge_count();
-  result.unpaired_edges = aggregated.graph.unpaired_edges().size();
   result.graph_bytes = aggregated.graph.bytes();
 
   WallTimer fr_timer;
-  result.ranks = run_faultyrank(aggregated.graph, config.rank, config.pool);
-  DetectorConfig detector_config;
-  detector_config.threshold = config.detection_threshold;
-  detector_config.root = cluster.root();
-  detector_config.coverage = pipeline.agg.coverage;
-  result.report =
-      detect_inconsistencies(aggregated.graph, result.ranks, detector_config);
+  rank_and_detect(aggregated.graph, config_, cluster_.root(),
+                  aggregated.coverage, result);
   result.timings.t_fr_wall = fr_timer.seconds();
   return result;
 }
 
+/// repair_until_clean's backend. Raw corruption and raw repairs both
+/// bypass the changelog, so each check scrubs every inode before
+/// judging.
+class OnlineBackend final : public RepairExecutor {
+ public:
+  OnlineBackend(LustreCluster& cluster, OnlineChecker& checker)
+      : RepairExecutor(cluster), checker_(checker) {}
+
+  OnlineCheckResult check() {
+    checker_.catch_up();
+    checker_.full_scrub();
+    return checker_.check();
+  }
+
+ private:
+  OnlineChecker& checker_;
+};
+
 }  // namespace
 
 CheckerResult run_checker(LustreCluster& cluster, const CheckerConfig& config) {
-  CheckerResult result = run_pass(cluster, config);
-
-  if (config.apply_repairs && !result.report.consistent()) {
-    if (config.capture_undo) {
-      result.undo_image = serialize_cluster(cluster);
-    }
-    RepairExecutor executor(cluster);
-    result.repair_outcomes = executor.apply_all(result.report.repair_plan());
-    for (const auto& outcome : result.repair_outcomes) {
-      if (outcome.applied) ++result.repairs_applied;
-    }
-    if (config.verify_after_repair) {
-      CheckerConfig verify_config = config;
-      verify_config.apply_repairs = false;
-      verify_config.verify_after_repair = false;
-      // The repairs changed the cluster; resuming the re-check from the
-      // pre-repair scan checkpoint would verify stale state.
-      verify_config.checkpoint_path.clear();
-      const CheckerResult recheck = run_pass(cluster, verify_config);
-      result.verified_consistent = recheck.report.consistent();
-    }
-  } else if (config.verify_after_repair) {
-    result.verified_consistent = result.report.consistent();
-  }
+  OfflineBackend backend(cluster, config);
+  CheckerResult result = check_and_repair(backend, config);
+  result.undo_image = std::move(backend.undo_image);
   return result;
+}
+
+OnlineCheckResult repair_until_clean(LustreCluster& cluster,
+                                     OnlineChecker& checker,
+                                     std::size_t max_rounds) {
+  OnlineBackend backend(cluster, checker);
+  CheckConfig config;
+  config.apply_repairs = config.verify_after_repair = true;
+  return check_and_repair(backend, config, max_rounds);
 }
 
 }  // namespace faultyrank

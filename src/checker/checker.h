@@ -1,7 +1,10 @@
-// End-to-end FaultyRank checker (paper Fig. 6): scan every server in
-// parallel → aggregate partial graphs on the MDS → run the FaultyRank
-// iterations → detect + attribute inconsistencies → (optionally) apply
-// the recommended repairs and verify by re-scanning.
+// End-to-end FaultyRank checking of a Lustre cluster (paper Fig. 6):
+// scan every server in parallel → aggregate partial graphs on the MDS →
+// run the FaultyRank iterations → detect + attribute inconsistencies →
+// (optionally) apply the recommended repairs and verify by re-scanning.
+// Both entry points are backends of the one check_and_repair driver
+// (core/check_driver.h): run_checker re-scans the cluster for every
+// check; repair_until_clean re-checks through an OnlineChecker.
 //
 // The timing breakdown matches Table VI's three columns:
 //   T_scan  — parallel per-server metadata scanning
@@ -13,30 +16,22 @@
 
 #include "aggregator/aggregator.h"
 #include "checker/repair_executor.h"
-#include "core/detector.h"
-#include "core/faultyrank.h"
+#include "core/check_driver.h"
+#include "online/online_checker.h"
 #include "pfs/cluster.h"
 
 namespace faultyrank {
 
-struct CheckerConfig {
-  FaultyRankConfig rank;
-  /// Mean-normalized conviction threshold (see DetectorConfig).
-  double detection_threshold = 0.4;
+/// The shared CheckConfig (rank, threshold, pool, repair and verify
+/// switches) plus what only a Lustre scan needs.
+struct CheckerConfig : CheckConfig {
   DiskModel mdt_disk = DiskModel::ssd();
   DiskModel ost_disk = DiskModel::hdd();
   NetModel net;
-  ThreadPool* pool = nullptr;
-  /// Apply the recommended repairs to the cluster.
-  bool apply_repairs = false;
   /// Capture a full pre-repair snapshot into CheckerResult::undo_image
   /// before mutating anything (e2fsck-undo-file style); restore it with
   /// deserialize_cluster to roll every repair back.
   bool capture_undo = false;
-  /// After repairing, re-scan and re-check to confirm convergence to a
-  /// consistent state (counts as a second full pass; not timed into the
-  /// Table VI breakdown).
-  bool verify_after_repair = false;
   /// Operational fault schedule for the scan phase; nullptr scans
   /// fault-free. With faults, the check runs in degraded mode: a
   /// crashed server reduces coverage instead of aborting, and findings
@@ -44,7 +39,8 @@ struct CheckerConfig {
   OpFaultSchedule* faults = nullptr;
   RetryPolicy retry;
   /// Non-empty: checkpoint completed scans here and resume from an
-  /// existing checkpoint (see PipelineConfig).
+  /// existing checkpoint (see PipelineConfig). Only the first check
+  /// uses it: a re-check after repairs must not resume pre-repair scans.
   std::string checkpoint_path;
   /// Cluster-content fingerprint for checkpoint staleness detection
   /// (PipelineConfig::checkpoint_epoch): a checkpoint written under a
@@ -73,25 +69,16 @@ struct CheckerTimings {
   }
 };
 
-struct CheckerResult {
-  FaultyRankResult ranks;
-  DetectionReport report;
+/// The shared CheckResult plus the first scan's timings and coverage
+/// (a re-check is not timed into the Table VI breakdown).
+struct CheckerResult : CheckResult {
   CheckerTimings timings;
-
-  std::uint64_t vertices = 0;
-  std::uint64_t edges = 0;
-  std::uint64_t unpaired_edges = 0;
   std::uint64_t inodes_scanned = 0;
   std::uint64_t graph_bytes = 0;
 
-  std::vector<RepairOutcome> repair_outcomes;
-  std::size_t repairs_applied = 0;
-  /// Pre-repair snapshot (empty unless capture_undo was set and repairs
-  /// were about to be applied).
+  /// Pre-repair snapshot (empty unless capture_undo was set and a
+  /// repair was about to write).
   std::vector<std::uint8_t> undo_image;
-  /// Set when verify_after_repair ran: true iff the re-check found a
-  /// fully consistent filesystem.
-  bool verified_consistent = false;
 
   /// Scan coverage this check actually achieved (1.0 = every server).
   CoverageInfo coverage;
@@ -104,8 +91,17 @@ struct CheckerResult {
   bool checkpoint_discarded = false;
 };
 
-/// Runs the complete pipeline against `cluster`.
+/// Runs the complete pipeline against `cluster`: one repair round,
+/// verified by a full re-scan when verify_after_repair is set.
 [[nodiscard]] CheckerResult run_checker(LustreCluster& cluster,
                                         const CheckerConfig& config = {});
+
+/// Repair-convergence oracle (Table III's claim: every planted fault is
+/// repairable and the repaired filesystem passes a fresh check). Each
+/// check is catch_up + full_scrub + check on a bootstrapped `checker`;
+/// verified_consistent is true iff it checked clean within the budget.
+[[nodiscard]] OnlineCheckResult repair_until_clean(LustreCluster& cluster,
+                                                   OnlineChecker& checker,
+                                                   std::size_t max_rounds = 4);
 
 }  // namespace faultyrank

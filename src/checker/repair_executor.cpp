@@ -4,18 +4,6 @@
 
 namespace faultyrank {
 
-namespace {
-
-RepairOutcome failure(const RepairAction& action, std::string detail) {
-  return {action, false, std::move(detail)};
-}
-
-RepairOutcome success(const RepairAction& action, std::string detail) {
-  return {action, true, std::move(detail)};
-}
-
-}  // namespace
-
 std::optional<RepairExecutor::Located> RepairExecutor::locate(const Fid& fid) {
   for (std::size_t m = 0; m < cluster_.mdt_count(); ++m) {
     LdiskfsImage& mdt = cluster_.mdt_server(m).image;
@@ -41,25 +29,6 @@ std::optional<RepairExecutor::Located> RepairExecutor::locate(const Fid& fid) {
     }
   }
   return std::nullopt;
-}
-
-RepairOutcome RepairExecutor::apply(const RepairAction& action) {
-  switch (action.kind) {
-    case RepairKind::kOverwriteId: return overwrite_id(action);
-    case RepairKind::kAddBackPointer: return add_back_pointer(action);
-    case RepairKind::kRelinkProperty: return relink_property(action);
-    case RepairKind::kRemoveReference: return remove_reference(action);
-    case RepairKind::kQuarantineLostFound: return quarantine(action);
-    case RepairKind::kNone: return success(action, "report-only");
-  }
-  return failure(action, "unknown repair kind");
-}
-
-std::vector<RepairOutcome> RepairExecutor::apply_all(const RepairPlan& plan) {
-  std::vector<RepairOutcome> outcomes;
-  outcomes.reserve(plan.size());
-  for (const auto& action : plan) outcomes.push_back(apply(action));
-  return outcomes;
 }
 
 RepairOutcome RepairExecutor::overwrite_id(const RepairAction& action) {

@@ -10,23 +10,18 @@
 #pragma once
 
 #include <optional>
-#include <string>
-#include <vector>
 
 #include "core/repair.h"
 #include "pfs/cluster.h"
 
 namespace faultyrank {
 
-class RepairExecutor {
+class RepairExecutor : public RepairExecutorBase {
  public:
   explicit RepairExecutor(LustreCluster& cluster) : cluster_(cluster) {}
 
-  /// Applies one action; never throws — failures come back as
-  /// applied=false with a reason.
-  RepairOutcome apply(const RepairAction& action);
-
-  std::vector<RepairOutcome> apply_all(const RepairPlan& plan);
+ protected:
+  LustreCluster& cluster_;
 
  private:
   struct Located {
@@ -40,13 +35,11 @@ class RepairExecutor {
   /// OIs first and falling back to raw scans.
   [[nodiscard]] std::optional<Located> locate(const Fid& fid);
 
-  RepairOutcome overwrite_id(const RepairAction& action);
-  RepairOutcome add_back_pointer(const RepairAction& action);
-  RepairOutcome relink_property(const RepairAction& action);
-  RepairOutcome remove_reference(const RepairAction& action);
-  RepairOutcome quarantine(const RepairAction& action);
-
-  LustreCluster& cluster_;
+  RepairOutcome overwrite_id(const RepairAction& action) override;
+  RepairOutcome add_back_pointer(const RepairAction& action) override;
+  RepairOutcome relink_property(const RepairAction& action) override;
+  RepairOutcome remove_reference(const RepairAction& action) override;
+  RepairOutcome quarantine(const RepairAction& action) override;
 };
 
 }  // namespace faultyrank

@@ -1,11 +1,13 @@
 // Repair actions recommended by the detector (paper §III-F).
 //
 // Actions are expressed against FIDs, not PFS internals, so the planner
-// stays file-system-agnostic; the checker's RepairExecutor translates
-// them into concrete EA/DIRENT writes on the simulated Lustre cluster.
+// stays file-system-agnostic. One executor per file system (Lustre's
+// RepairExecutor, the BeeGFS backend's) derives from RepairExecutorBase
+// and translates each kind into concrete writes on its cluster.
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fid.h"
@@ -72,6 +74,34 @@ struct RepairOutcome {
   RepairAction action;
   bool applied = false;
   std::string detail;
+};
+
+/// Base of the per-file-system repair executors: apply() dispatches an
+/// action on its kind to the subclass's writer for that kind.
+class RepairExecutorBase {
+ public:
+  /// Applies one action; never throws — failures come back as
+  /// applied=false with a reason. Virtual so that a check backend can
+  /// act before the first write (Lustre's undo snapshot).
+  virtual RepairOutcome apply(const RepairAction& action);
+
+  /// Applies every action of `plan`, in order.
+  std::vector<RepairOutcome> apply_all(const RepairPlan& plan);
+
+ protected:
+  static RepairOutcome success(const RepairAction& action, std::string detail) {
+    return {action, true, std::move(detail)};
+  }
+  static RepairOutcome failure(const RepairAction& action, std::string detail) {
+    return {action, false, std::move(detail)};
+  }
+
+ private:
+  virtual RepairOutcome overwrite_id(const RepairAction& action) = 0;
+  virtual RepairOutcome add_back_pointer(const RepairAction& action) = 0;
+  virtual RepairOutcome relink_property(const RepairAction& action) = 0;
+  virtual RepairOutcome remove_reference(const RepairAction& action) = 0;
+  virtual RepairOutcome quarantine(const RepairAction& action) = 0;
 };
 
 }  // namespace faultyrank

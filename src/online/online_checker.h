@@ -25,8 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/detector.h"
-#include "core/faultyrank.h"
+#include "core/check_driver.h"
 #include "core/propagation_plan.h"
 #include "online/mutable_graph.h"
 #include "pfs/cluster.h"
@@ -48,12 +47,9 @@ struct OnlineCheckerConfig {
   ThreadPool* pool = nullptr;
 };
 
-struct OnlineCheckResult {
-  FaultyRankResult ranks;
-  DetectionReport report;
-  std::uint64_t vertices = 0;
-  std::uint64_t edges = 0;
-  std::uint64_t unpaired_edges = 0;
+/// The shared CheckResult (check() fills its first-check fields) plus
+/// the online check's own timings.
+struct OnlineCheckResult : CheckResult {
   double freeze_wall_seconds = 0.0;
   double rank_wall_seconds = 0.0;
   /// True when this check ran on the cached snapshot + PropagationPlan

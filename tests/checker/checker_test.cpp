@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "faults/injector.h"
 #include "lfsck/lfsck.h"
 #include "pfs/persistence.h"
@@ -186,6 +189,38 @@ TEST(CheckerTest, MultiFaultCampaignFullyRepaired) {
   EXPECT_EQ(restored, truths.size());
 }
 
+
+// A checkpoint outlives a completed run (it still holds the pre-repair
+// scans), so a verify pass that resumed it would prefill every slot
+// from stale state and judge the repairs undone.
+TEST(CheckerTest, VerifyPassNeverResumesThePreRepairCheckpoint) {
+  LustreCluster cluster = testing::make_populated_cluster(150, 77);
+  FaultInjector injector(cluster, 24);
+  injector.inject(Scenario::kDanglingTargetId);
+  const std::string path = ::testing::TempDir() + "/checker_verify.frcp";
+  std::filesystem::remove(path);
+
+  CheckerConfig config;
+  config.checkpoint_path = path;
+  config.apply_repairs = true;
+  config.verify_after_repair = true;
+  const CheckerResult result = run_checker(cluster, config);
+  EXPECT_FALSE(result.report.consistent());
+  EXPECT_EQ(result.servers_resumed, 0u);
+  EXPECT_GE(result.repairs_applied, 1u);
+  EXPECT_TRUE(result.verified_consistent);
+
+  // What the verify pass would have read: every slot resumed, and the
+  // fault the repairs removed.
+  CheckerConfig resume;
+  resume.checkpoint_path = path;
+  const CheckerResult stale = run_checker(cluster, resume);
+  EXPECT_EQ(stale.servers_resumed,
+            cluster.mdt_count() + cluster.osts().size());
+  EXPECT_FALSE(stale.report.consistent());
+  EXPECT_TRUE(run_checker(cluster).report.consistent());
+  std::filesystem::remove(path);
+}
 
 TEST(UndoTest, CapturedImageRollsRepairsBack) {
   LustreCluster cluster = testing::make_populated_cluster(150, 74);

@@ -1,14 +1,15 @@
 // Repair convergence for every one of the paper's eight inconsistency
 // scenarios: inject → detect → repair → re-check must reach a fully
 // consistent filesystem within a bounded number of repair rounds. This
-// is the oracle the soak harness reuses (checker/convergence.h), so a
-// scenario that ping-pongs here would wedge the soak too.
+// is the oracle the soak harness reuses (repair_until_clean in
+// checker/checker.h), so a scenario that ping-pongs here would wedge
+// the soak too.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <string>
 
-#include "checker/convergence.h"
+#include "checker/checker.h"
 #include "faults/injector.h"
 #include "pfs/changelog.h"
 #include "testing/fixtures.h"
@@ -28,8 +29,8 @@ TEST_P(RepairConvergenceTest, InjectedFaultRepairsToCleanWithinBudget) {
   OnlineChecker checker(cluster);
   checker.bootstrap();
 
-  const ConvergenceResult result = repair_until_clean(cluster, checker, 4);
-  EXPECT_TRUE(result.clean) << to_string(truth.scenario) << ": "
+  const OnlineCheckResult result = repair_until_clean(cluster, checker, 4);
+  EXPECT_TRUE(result.verified_consistent) << to_string(truth.scenario) << ": "
                             << result.residual_findings
                             << " findings after "
                             << result.repair_rounds << " repair rounds";
@@ -70,8 +71,8 @@ TEST(RepairConvergenceTest, DoubleHardLinkInOneDirectorySurvivesDirentWipe) {
 
   OnlineChecker checker(cluster);
   checker.bootstrap();
-  const ConvergenceResult result = repair_until_clean(cluster, checker, 4);
-  EXPECT_TRUE(result.clean) << result.residual_findings
+  const OnlineCheckResult result = repair_until_clean(cluster, checker, 4);
+  EXPECT_TRUE(result.verified_consistent) << result.residual_findings
                             << " findings left after "
                             << result.repair_rounds << " rounds";
   std::size_t entries = 0;
@@ -96,8 +97,8 @@ TEST(RepairConvergenceTest, DoubleHardLinkInOneDirectorySurvivesLinkEaWipe) {
 
   OnlineChecker checker(cluster);
   checker.bootstrap();
-  const ConvergenceResult result = repair_until_clean(cluster, checker, 4);
-  EXPECT_TRUE(result.clean) << result.residual_findings
+  const OnlineCheckResult result = repair_until_clean(cluster, checker, 4);
+  EXPECT_TRUE(result.verified_consistent) << result.residual_findings
                             << " findings left after "
                             << result.repair_rounds << " rounds";
   std::size_t links = 0;
@@ -121,8 +122,8 @@ TEST(RepairConvergenceTest, MixedCampaignDrainsToClean) {
   OnlineChecker checker(cluster);
   checker.bootstrap();
 
-  const ConvergenceResult result = repair_until_clean(cluster, checker, 6);
-  EXPECT_TRUE(result.clean) << result.residual_findings
+  const OnlineCheckResult result = repair_until_clean(cluster, checker, 6);
+  EXPECT_TRUE(result.verified_consistent) << result.residual_findings
                             << " findings left after "
                             << result.repair_rounds << " rounds";
 }

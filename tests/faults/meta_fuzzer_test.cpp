@@ -4,7 +4,7 @@
 // to consistency within the crash matrix's round budget.
 #include <gtest/gtest.h>
 
-#include "checker/convergence.h"
+#include "checker/checker.h"
 #include "faults/meta_fuzzer.h"
 #include "online/online_checker.h"
 #include "pfs/persistence.h"
@@ -70,8 +70,8 @@ TEST(MetaFuzzerTest, FuzzedStatesConvergeUnderRepair) {
     ASSERT_FALSE(records.empty()) << seed;
     OnlineChecker checker(cluster, {});
     checker.bootstrap();
-    const ConvergenceResult result = repair_until_clean(cluster, checker, 6);
-    EXPECT_TRUE(result.clean)
+    const OnlineCheckResult result = repair_until_clean(cluster, checker, 6);
+    EXPECT_TRUE(result.verified_consistent)
         << "seed " << seed << ": " << result.residual_findings
         << " residual finding(s) after " << result.repair_rounds
         << " round(s)";

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "checker/convergence.h"
+#include "checker/checker.h"
 #include "faults/crash_states.h"
 #include "online/online_checker.h"
 #include "pfs/persistence.h"
@@ -197,9 +197,9 @@ TEST(CrashStateConvergenceTest, FaultyRankConvergesOnEveryPrefix) {
       replica.cluster.attach_changelog(nullptr);
       OnlineChecker checker(replica.cluster, {});
       checker.bootstrap();
-      const ConvergenceResult result =
+      const OnlineCheckResult result =
           repair_until_clean(replica.cluster, checker, 6);
-      EXPECT_TRUE(result.clean)
+      EXPECT_TRUE(result.verified_consistent)
           << spec.describe() << " @" << trace.points[k] << ": "
           << result.residual_findings << " residual finding(s)";
     }

@@ -159,14 +159,9 @@ int cmd_check(const Args& args) {
   const CheckerResult result = run_checker(cluster, config);
   record_memory_phase("check complete");
   if (!result.undo_image.empty()) {
-    std::FILE* undo = std::fopen(args.undo_path.c_str(), "wb");
-    if (undo == nullptr) {
-      std::fprintf(stderr, "cannot write undo file %s\n",
-                   args.undo_path.c_str());
-      return 1;
-    }
-    std::fwrite(result.undo_image.data(), 1, result.undo_image.size(), undo);
-    std::fclose(undo);
+    // Throws PersistenceError on a failed or short write, so the
+    // repaired image never replaces the original without its undo file.
+    atomic_write_file(result.undo_image, args.undo_path);
     if (!args.json) {
       std::printf("pre-repair undo image: %s (%zu bytes)\n",
                   args.undo_path.c_str(), result.undo_image.size());
